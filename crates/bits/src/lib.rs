@@ -14,6 +14,12 @@
 //!   conservative undef propagation (any undefined input bit that can affect
 //!   an output bit makes that output bit undefined).
 //!
+//! It is also the workspace's dependency-free substrate crate: the
+//! canonical byte [`codec`], the deterministic [`Prng`], the
+//! [`framed`] link envelope both wire protocols speak, the
+//! [`SortedRun`] on-disk lookup run both stores keep their cold half
+//! in, and the [`fnv1a64`] locator hash.
+//!
 //! The same `undef` value doubles as the distinguished *unknown* used by the
 //! exhaustive footprint analysis of partially executed instructions
 //! (paper §2.2): "the interpreter operations treat unknown similarly to
@@ -38,12 +44,28 @@ mod bit;
 mod bv;
 pub mod codec;
 mod fmt;
+pub mod framed;
 pub mod rng;
+pub mod sorted_run;
 
 pub use bit::{Bit, Tribool};
 pub use bv::Bv;
 pub use codec::{DecodeError, Reader, Writer};
 pub use rng::Prng;
+pub use sorted_run::SortedRun;
+
+/// FNV-1a 64 over a byte string: the well-spread (not cryptographic)
+/// hash behind the result store's record locator and the checkpoint's
+/// job fingerprint. Both store the value, so the function is format.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 #[cfg(test)]
 mod tests;

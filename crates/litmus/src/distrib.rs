@@ -105,8 +105,7 @@ pub struct DistribConfig {
     /// pass `["distrib_worker_shim", "--exact"]`).
     pub worker_args: Vec<String>,
     /// Extra environment for the workers — fault injection
-    /// ([`ppc_model::distrib::DIE_AFTER_ENV`],
-    /// [`ppc_model::net::FAULT_ENV`]) goes here, per-command, never via
+    /// ([`ppc_model::net::FAULT_ENV`]) goes here, per-command, never via
     /// global `set_var`.
     pub worker_env: Vec<(String, String)>,
     /// Transport / launch mode.
@@ -248,13 +247,9 @@ fn serve_one_job(mut sock: Conn) -> io::Result<()> {
 /// — a resume may use different timeouts.
 fn job_digest(source: &str, params: &ModelParams) -> u64 {
     let mut w = Writer::new();
+    w.bytes(source.as_bytes());
     distrib::encode_params(&mut w, params);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in source.as_bytes().iter().chain(w.into_bytes().iter()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    ppc_bits::fnv1a64(&w.into_bytes())
 }
 
 /// Spawn/await the workers, ship the job, and coordinate the

@@ -269,28 +269,19 @@ impl Listener {
     }
 }
 
-/// `true` for the error kinds a timed-out socket read surfaces
-/// (`WouldBlock` on Unix-domain `SO_RCVTIMEO`, `TimedOut` on some TCP
-/// stacks) — the dead-peer signal, as opposed to EOF or reset.
-#[must_use]
-pub fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
+/// `true` for the error kinds a timed-out socket read surfaces — the
+/// dead-peer signal, as opposed to EOF or reset.
+pub use ppc_bits::framed::is_timeout;
 
 // ---- deterministic network-fault injection -----------------------------
 
-/// Fault-injection env var: a network-fault spec applied by one worker's
-/// outgoing-message funnel (see [`FaultPlan`] for the grammar). Tests
-/// only; unset in production.
+/// Fault-injection env var: a fault spec applied by shard 0's worker
+/// (see [`FaultPlan`] for the grammar). Tests only; unset in
+/// production.
 pub const FAULT_ENV: &str = "PPCMEM_DISTRIB_FAULT";
-/// Which shard [`FAULT_ENV`] applies to (default `0`).
-pub const FAULT_SHARD_ENV: &str = "PPCMEM_DISTRIB_FAULT_SHARD";
 
-/// One injected network fault. Counters are 1-based over the worker's
-/// outgoing messages of the relevant kind.
+/// One injected fault. Counters are 1-based over the worker's outgoing
+/// messages of the relevant kind (expansions, for [`FaultKind::Die`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// `drop-route:N` — silently discard the Nth Route (the frame's
@@ -309,6 +300,9 @@ pub enum FaultKind {
     /// (heartbeats included) while staying alive and reading: a hung
     /// peer only the dead-peer timeout can catch.
     Mute(u64),
+    /// `die:N` — abort the process at its Nth expansion, the way a
+    /// SIGKILL or OOM kill would: no unwind, no Result message.
+    Die(u64),
 }
 
 /// What the send funnel should do with the current outgoing message.
@@ -370,6 +364,7 @@ impl FaultPlan {
             ([_, k], Some("truncate-route")) => FaultKind::TruncateRoute(n(k)),
             ([_, k, d], Some("delay-probe")) => FaultKind::DelayProbe(n(k), ms(d)),
             ([_, k], Some("mute")) => FaultKind::Mute(n(k)),
+            ([_, k], Some("die")) => FaultKind::Die(n(k)),
             _ => panic!("unknown fault spec in {FAULT_ENV}: {spec}"),
         };
         Some(FaultPlan {
@@ -381,15 +376,18 @@ impl FaultPlan {
         })
     }
 
-    /// Read [`FAULT_ENV`] / [`FAULT_SHARD_ENV`] for this shard.
+    /// Read [`FAULT_ENV`]; the plan applies to shard 0 only.
     #[must_use]
     pub fn from_env(shard: usize) -> Option<FaultPlan> {
         let spec = std::env::var(FAULT_ENV).ok()?;
-        let fault_shard: usize = std::env::var(FAULT_SHARD_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        (shard == fault_shard).then(|| FaultPlan::parse(&spec))?
+        (shard == 0).then(|| FaultPlan::parse(&spec))?
+    }
+
+    /// Whether a [`FaultKind::Die`] plan kills the worker now that it
+    /// has expanded `expanded` states.
+    #[must_use]
+    pub fn dies_at(&self, expanded: u64) -> bool {
+        matches!(self.kind, FaultKind::Die(n) if expanded >= n)
     }
 
     /// Account one outgoing message and decide its fate.
@@ -464,6 +462,9 @@ mod tests {
             FaultKind::DelayProbe(1, Duration::from_millis(800))
         );
         assert_eq!(FaultPlan::parse("mute:5").unwrap().kind, FaultKind::Mute(5));
+        let die = FaultPlan::parse("die:40").unwrap();
+        assert_eq!(die.kind, FaultKind::Die(40));
+        assert!(!die.dies_at(39) && die.dies_at(40));
         assert!(FaultPlan::parse("").is_none());
     }
 

@@ -440,11 +440,7 @@ pub(crate) type SleepMap = std::collections::HashMap<u64, Box<[Transition]>>;
 ///   expanded before), and the stored set shrinks to the intersection.
 ///   The shrink is strict, so each state re-explores at most
 ///   `|enabled|` times — termination.
-pub(crate) fn reduced_admit(
-    map: &mut SleepMap,
-    digest: u64,
-    sleep: &[Transition],
-) -> Option<Vec<Transition>> {
+fn reduced_admit(map: &mut SleepMap, digest: u64, sleep: &[Transition]) -> Option<Vec<Transition>> {
     debug_assert!(sleep.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
     match map.entry(digest) {
         std::collections::hash_map::Entry::Vacant(v) => {
@@ -458,6 +454,18 @@ pub(crate) fn reduced_admit(
             }
             o.insert(sorted_intersect(sleep, o.get()).into_boxed_slice());
             Some(wake)
+        }
+    }
+}
+
+/// [`reduced_admit`] for a frame: an admitted frame takes the visit's
+/// wake-up restriction with it.
+fn admit_reduced(map: &mut SleepMap, frame: &mut Frame) -> bool {
+    match reduced_admit(map, frame.state.digest(), &frame.sleep) {
+        None => false,
+        Some(wake) => {
+            frame.wake = wake;
+            true
         }
     }
 }
@@ -495,131 +503,165 @@ fn sorted_intersect(a: &[Transition], b: &[Transition]) -> Vec<Transition> {
     out
 }
 
-/// The sequential depth-first engine.
+/// The depth-first frontier of one exploring process — what the
+/// sequential engine and each distributed worker ([`crate::distrib`])
+/// drive: the admission filter, the in-memory stack of unexpanded
+/// frames, and the stack's disk half.
 ///
-/// The visited set and frontier both live in a [`StateStore`]: fully in
-/// memory when [`ModelParams::max_resident_states`] is `0`, spilling the
-/// *oldest* (bottom-of-stack) frontier states and overgrown visited
-/// shards to temp files when the budget is crossed. Spilling cannot
-/// change the result — membership stays exact and decoded states are
-/// structurally identical to the originals — so finals and counts are
-/// byte-identical in both modes.
+/// The visited set and spilled frames live in a [`StateStore`]: fully
+/// in memory when [`ModelParams::max_resident_states`] is `0`, spilling
+/// the *oldest* (bottom-of-stack) frames and overgrown visited shards
+/// to temp files when the budget is crossed. Spilling cannot change the
+/// result — membership stays exact and decoded states are structurally
+/// identical to the originals — so finals and counts are byte-identical
+/// in both modes.
+pub(crate) struct DfsFrontier {
+    pub(crate) store: StateStore,
+    /// Reduced mode ([`ModelParams::sleep_sets`]) replaces the store's
+    /// digest-only visited set with the sleep memo: admission needs the
+    /// stored sleep set, and spilling digests to cold runs would lose
+    /// it. `None` unreduced. The frontier's disk half is shared.
+    pub(crate) sleep_map: Option<SleepMap>,
+    stack: Vec<Frame>,
+}
+
+impl DfsFrontier {
+    /// An empty frontier for explorations of `initial`'s program.
+    pub(crate) fn new(initial: &SystemState) -> Self {
+        DfsFrontier {
+            store: StateStore::new(initial.program.clone(), &initial.params, 1),
+            sleep_map: initial.params.sleep_sets.then(SleepMap::new),
+            stack: Vec::new(),
+        }
+    }
+
+    /// Decide whether `frame` enters the search: the visited-set
+    /// insertion in unreduced mode, [`reduced_admit`] in reduced mode
+    /// (possibly restricting the frame to a wake-up list on a
+    /// re-visit). The caller [`DfsFrontier::push`]es an admitted frame.
+    pub(crate) fn admit(&mut self, frame: &mut Frame) -> Result<bool, StoreError> {
+        match &mut self.sleep_map {
+            None => self.store.insert_visited(frame.state.digest()),
+            Some(map) => Ok(admit_reduced(map, frame)),
+        }
+    }
+
+    /// Put an admitted frame on top of the stack.
+    pub(crate) fn push(&mut self, frame: Frame) {
+        self.store.note_enqueued(1);
+        self.stack.push(frame);
+    }
+
+    /// Take the newest unexpanded frame; when the in-memory stack is
+    /// dry, reload the newest spilled segment first (sequential batched
+    /// readback). `Ok(None)` means nothing is left anywhere.
+    pub(crate) fn pop(&mut self) -> Result<Option<Frame>, StoreError> {
+        if self.stack.is_empty() {
+            let Some(segment) = self.store.unspill()? else {
+                return Ok(None);
+            };
+            self.store.note_enqueued(segment.len());
+            self.stack.extend(segment);
+        }
+        let frame = self.stack.pop();
+        if frame.is_some() {
+            self.store.note_dequeued(1);
+        }
+        Ok(frame)
+    }
+
+    /// Over the resident budget: spill the oldest frames (the stack
+    /// bottom, the ones depth-first search would touch last anyway)
+    /// down to half the budget, so spills are batched rather than
+    /// per-push.
+    pub(crate) fn spill_excess(&mut self) -> Result<(), StoreError> {
+        let budget = self.store.budget();
+        if budget != 0 && self.stack.len() > budget {
+            let excess = self.stack.len() - budget / 2;
+            let victims: Vec<Frame> = self.stack.drain(..excess).collect();
+            self.store.spill_batch(&victims)?;
+            self.store.note_dequeued(victims.len());
+        }
+        Ok(())
+    }
+
+    /// Whether no unexpanded frame is left, in memory or on disk.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.stack.is_empty() && !self.store.has_spilled_frontier()
+    }
+
+    /// Take every unexpanded frame — the stack, then each spilled
+    /// segment — leaving the frontier empty (the checkpoint dump).
+    pub(crate) fn drain(&mut self) -> Result<Vec<Frame>, StoreError> {
+        let mut frames = std::mem::take(&mut self.stack);
+        while let Some(segment) = self.store.unspill()? {
+            frames.extend(segment);
+        }
+        Ok(frames)
+    }
+}
+
+/// The sequential depth-first engine: [`DfsFrontier`] driven to
+/// exhaustion (or a limit) by one thread.
 fn explore_seq(
     initial: &SystemState,
     reg_obs: &[(ThreadId, Reg)],
     mem_obs: &[(u64, usize)],
     limits: &ExploreLimits,
 ) -> Outcomes {
-    let reduce = initial.params.sleep_sets;
-    let store = StateStore::new(initial.program.clone(), &initial.params, 1);
+    let mut frontier = DfsFrontier::new(initial);
     let mut stats = ExplorationStats::default();
     let mut finals = BTreeSet::new();
     let mut scratch = Vec::new();
-    let mut stack: Vec<Frame> = vec![Frame::root(initial.clone())];
-    // Reduced mode replaces the digest-only visited set with the sleep
-    // memo (admission needs the stored sleep set, and spilling digests
-    // to cold runs would lose it); the frontier's disk half is shared.
-    let mut sleep_map = SleepMap::new();
-    if reduce {
-        sleep_map.insert(initial.digest(), Box::from([]));
-    } else {
-        // The store is empty: the first insert touches only the hot set,
-        // so no I/O can fail here.
-        store
-            .insert_visited(initial.digest())
-            .expect("root insert into an empty store cannot touch disk");
-    }
-    store.note_enqueued(1);
+    let mut root = Frame::root(initial.clone());
+    // The store is empty: the root admission touches only the hot set,
+    // so no I/O can fail here.
+    let admitted = frontier
+        .admit(&mut root)
+        .expect("root insert into an empty store cannot touch disk");
+    debug_assert!(admitted, "the root always enters an empty frontier");
+    frontier.push(root);
+
+    let mut search = || -> Result<(), StoreError> {
+        while let Some(frame) = frontier.pop()? {
+            stats.states += 1;
+            if stats.states > limits.max_states {
+                stats.truncated = true;
+                break;
+            }
+            if stats.states % 4096 == 0 {
+                if let Some(d) = limits.deadline {
+                    if Instant::now() >= d {
+                        stats.truncated = true;
+                        break;
+                    }
+                }
+            }
+            let exp = expand(&frame, reg_obs, mem_obs, &mut finals, &mut scratch);
+            stats.bounded |= exp.bounded_hit;
+            if exp.is_final {
+                stats.final_hits += 1;
+                continue;
+            }
+            stats.transitions += exp.transitions;
+            for mut next in exp.succs {
+                if frontier.admit(&mut next)? {
+                    frontier.push(next);
+                }
+            }
+            frontier.spill_excess()?;
+        }
+        Ok(())
+    };
     // A store failure (disk full, short read, corrupt segment) ends the
     // search as *truncated* — inconclusive, never a silent partial pass
     // and never a process abort.
-    let store_failed = |stats: &mut ExplorationStats, e: &StoreError| {
+    if let Err(e) = search() {
         stats.truncated = true;
         stats.store_error = Some(e.to_string());
-    };
-
-    'search: loop {
-        let frame = match stack.pop() {
-            Some(s) => s,
-            None => {
-                // In-memory frontier dry: reload the newest spilled
-                // segment (sequential batched readback), if any.
-                let seg = match store.unspill() {
-                    Ok(Some(seg)) => seg,
-                    Ok(None) => break,
-                    Err(e) => {
-                        store_failed(&mut stats, &e);
-                        break;
-                    }
-                };
-                store.note_enqueued(seg.len());
-                stack.extend(seg);
-                match stack.pop() {
-                    Some(s) => s,
-                    None => break,
-                }
-            }
-        };
-        store.note_dequeued(1);
-        stats.states += 1;
-        if stats.states > limits.max_states {
-            stats.truncated = true;
-            break;
-        }
-        if stats.states % 4096 == 0 {
-            if let Some(d) = limits.deadline {
-                if Instant::now() >= d {
-                    stats.truncated = true;
-                    break;
-                }
-            }
-        }
-        let exp = expand(&frame, reg_obs, mem_obs, &mut finals, &mut scratch);
-        stats.bounded |= exp.bounded_hit;
-        if exp.is_final {
-            stats.final_hits += 1;
-            continue;
-        }
-        stats.transitions += exp.transitions;
-        for mut next in exp.succs {
-            let admitted = if reduce {
-                match reduced_admit(&mut sleep_map, next.state.digest(), &next.sleep) {
-                    None => false,
-                    Some(wake) => {
-                        next.wake = wake;
-                        true
-                    }
-                }
-            } else {
-                match store.insert_visited(next.state.digest()) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        store_failed(&mut stats, &e);
-                        break 'search;
-                    }
-                }
-            };
-            if admitted {
-                store.note_enqueued(1);
-                stack.push(next);
-            }
-        }
-        // Over budget: spill the oldest states (the stack bottom, the
-        // ones depth-first search would touch last anyway) down to half
-        // the budget, so spills are batched rather than per-push.
-        let budget = store.budget();
-        if budget != 0 && stack.len() > budget {
-            let excess = stack.len() - budget / 2;
-            let victims: Vec<Frame> = stack.drain(..excess).collect();
-            if let Err(e) = store.spill_batch(&victims) {
-                store_failed(&mut stats, &e);
-                break 'search;
-            }
-            store.note_dequeued(victims.len());
-        }
     }
-    stats.resident_peak = store.resident_peak();
-    stats.spilled_states = store.spilled_states();
+    stats.resident_peak = frontier.store.resident_peak();
+    stats.spilled_states = frontier.store.spilled_states();
     Outcomes { finals, stats }
 }
 
@@ -751,13 +793,7 @@ impl StealPool<'_> {
                 let mut map = shards[(digest & (shards.len() as u64 - 1)) as usize]
                     .lock()
                     .expect("sleep shard poisoned");
-                Ok(match reduced_admit(&mut map, digest, &frame.sleep) {
-                    None => false,
-                    Some(wake) => {
-                        frame.wake = wake;
-                        true
-                    }
-                })
+                Ok(admit_reduced(&mut map, frame))
             }
         }
     }

@@ -10,9 +10,8 @@
 //!
 //! - **Visited set**: one mutexed shard per low-digest-bits bucket, as
 //!   the work-stealing engine always had. Each shard holds a *hot*
-//!   `HashSet` plus at most one *cold run* — a sorted file of 8-byte
-//!   digests with an in-memory sparse index (one key per 512-digest
-//!   block), so a cold membership probe costs one 4 KiB positioned read.
+//!   `HashSet` plus at most one *cold run* — a [`SortedRun`] of 8-byte
+//!   digests, so a cold membership probe costs one 4 KiB positioned read.
 //!   When the hot set outgrows its budget the shard streams hot ∪ cold
 //!   into a fresh sorted run (LSM-style, merge deferred until the hot
 //!   set is at least a quarter of the run, so total write amplification
@@ -51,17 +50,13 @@ use crate::oracle::{Actor, Frame};
 use crate::state_codec::{decode_transition, encode_transition, CodecCtx};
 use crate::system::{Program, Transition};
 use crate::types::ModelParams;
-use ppc_bits::{DecodeError, Reader, Writer};
+use ppc_bits::{framed, DecodeError, Reader, SortedRun, Writer};
 use std::collections::HashSet;
 use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write as _};
+use std::io::{self, BufReader, BufWriter, Read, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Digests per cold-run index block: one sparse-index key each, so a
-/// membership probe reads `512 * 8 = 4096` bytes.
-const RUN_BLOCK: usize = 512;
 
 /// Minimum hot digests per shard before any flush is considered, even
 /// under tiny budgets (digests are ~100× smaller than states, so the
@@ -149,63 +144,10 @@ struct VisitedShard {
     cold: Option<ColdRun>,
 }
 
-/// A sorted run of digests on disk, with a sparse in-memory index.
+/// A shard's sorted run of digests, in a temp file it deletes on drop.
 struct ColdRun {
-    file: File,
+    run: SortedRun<8>,
     path: PathBuf,
-    /// Number of digests in the run.
-    len: usize,
-    /// The first digest of each `RUN_BLOCK`-sized block.
-    index: Vec<u64>,
-}
-
-impl ColdRun {
-    /// Exact membership probe: locate the candidate block via the sparse
-    /// index, read it, binary-search within.
-    fn contains(&mut self, d: u64) -> Result<bool, StoreError> {
-        // Last block whose first key is <= d.
-        let b = match self.index.partition_point(|&k| k <= d) {
-            0 => return Ok(false), // d precedes every key
-            p => p - 1,
-        };
-        let start = b * RUN_BLOCK;
-        let count = RUN_BLOCK.min(self.len - start);
-        let mut buf = vec![0u8; count * 8];
-        self.file
-            .seek(SeekFrom::Start((start * 8) as u64))
-            .map_err(io_err("seek visited run"))?;
-        self.file
-            .read_exact(&mut buf)
-            .map_err(io_err("read visited run"))?;
-        let mut lo = 0usize;
-        let mut hi = count;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let k = u64::from_le_bytes(buf[mid * 8..mid * 8 + 8].try_into().expect("8 bytes"));
-            match k.cmp(&d) {
-                std::cmp::Ordering::Equal => return Ok(true),
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-            }
-        }
-        Ok(false)
-    }
-
-    /// Stream every digest in the run, in sorted order.
-    fn read_all(&mut self, out: &mut Vec<u64>) -> Result<(), StoreError> {
-        self.file
-            .seek(SeekFrom::Start(0))
-            .map_err(io_err("rewind visited run"))?;
-        let mut reader = BufReader::new(&self.file);
-        let mut buf = [0u8; 8];
-        for _ in 0..self.len {
-            reader
-                .read_exact(&mut buf)
-                .map_err(io_err("read visited run"))?;
-            out.push(u64::from_le_bytes(buf));
-        }
-        Ok(())
-    }
 }
 
 impl Drop for ColdRun {
@@ -357,7 +299,8 @@ impl StateStore {
             return Ok(false);
         }
         if let Some(cold) = &mut s.cold {
-            if cold.contains(digest)? {
+            let found = cold.run.find(digest);
+            if found.map_err(io_err("read visited run"))?.is_some() {
                 return Ok(false);
             }
         }
@@ -366,7 +309,7 @@ impl StateStore {
         // its budget and a meaningful fraction of the cold run, so each
         // merge grows the run geometrically and total rewrite cost stays
         // O(n log n).
-        let cold_len = s.cold.as_ref().map_or(0, |c| c.len);
+        let cold_len = s.cold.as_ref().map_or(0, |c| c.run.len());
         if s.hot.len() >= self.hot_budget && s.hot.len() * 4 >= cold_len {
             self.flush_shard(&mut s)?;
         }
@@ -382,7 +325,12 @@ impl StateStore {
             let mut s = shard.lock().expect("visited shard poisoned");
             out.extend(s.hot.iter().copied());
             if let Some(cold) = &mut s.cold {
-                cold.read_all(&mut out)?;
+                cold.run
+                    .for_each(|digest| {
+                        out.push(u64::from_le_bytes(*digest));
+                        Ok(())
+                    })
+                    .map_err(io_err("read visited run"))?;
             }
         }
         out.sort_unstable();
@@ -394,82 +342,33 @@ impl StateStore {
         let mut hot: Vec<u64> = s.hot.drain().collect();
         hot.sort_unstable();
         let path = self.fresh_path("run")?;
-        let file = File::create(&path).map_err(io_err("create visited run"))?;
-        let mut out = BufWriter::new(file);
-        let mut index = Vec::new();
-        let mut written = 0usize;
-        let push = |out: &mut BufWriter<File>,
-                    index: &mut Vec<u64>,
-                    written: &mut usize,
-                    k: u64|
-         -> Result<(), StoreError> {
-            if written.is_multiple_of(RUN_BLOCK) {
-                index.push(k);
+        let file = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&path)
+            .map_err(io_err("create visited run"))?;
+        // Stream-merge the old run (if any) with the sorted hot set. The
+        // two are disjoint by construction (inserts probe cold before
+        // landing in hot). `old` drops at the end, deleting its file.
+        let mut merged = SortedRun::<8>::create(file, 0);
+        let mut hot = hot.into_iter().peekable();
+        let mut old = s.cold.take();
+        let mut merge = || -> io::Result<()> {
+            if let Some(old) = &mut old {
+                old.run.for_each(|digest| {
+                    let next_old = u64::from_le_bytes(*digest);
+                    while let Some(h) = hot.next_if(|&h| h < next_old) {
+                        merged.push(&h.to_le_bytes())?;
+                    }
+                    merged.push(digest)
+                })?;
             }
-            out.write_all(&k.to_le_bytes())
-                .map_err(io_err("write visited run"))?;
-            *written += 1;
-            Ok(())
+            hot.try_for_each(|h| merged.push(&h.to_le_bytes()))
         };
-        match s.cold.take() {
-            None => {
-                for &k in &hot {
-                    push(&mut out, &mut index, &mut written, k)?;
-                }
-            }
-            Some(mut old) => {
-                // Stream-merge the old run with the sorted hot set. The
-                // two are disjoint by construction (inserts probe cold
-                // before landing in hot).
-                old.file
-                    .seek(SeekFrom::Start(0))
-                    .map_err(io_err("rewind visited run"))?;
-                let mut reader = BufReader::new(&old.file);
-                let mut buf = [0u8; 8];
-                let mut next_old: Option<u64> = None;
-                let mut remaining = old.len;
-                let mut hi = 0usize;
-                loop {
-                    if next_old.is_none() && remaining > 0 {
-                        reader
-                            .read_exact(&mut buf)
-                            .map_err(io_err("read visited run"))?;
-                        next_old = Some(u64::from_le_bytes(buf));
-                        remaining -= 1;
-                    }
-                    match (next_old, hot.get(hi)) {
-                        (None, None) => break,
-                        (Some(o), Some(&h)) if o < h => {
-                            push(&mut out, &mut index, &mut written, o)?;
-                            next_old = None;
-                        }
-                        (Some(_), Some(&h)) => {
-                            push(&mut out, &mut index, &mut written, h)?;
-                            hi += 1;
-                        }
-                        (Some(o), None) => {
-                            push(&mut out, &mut index, &mut written, o)?;
-                            next_old = None;
-                        }
-                        (None, Some(&h)) => {
-                            push(&mut out, &mut index, &mut written, h)?;
-                            hi += 1;
-                        }
-                    }
-                }
-                drop(reader);
-                // `old` drops here, deleting its file.
-            }
-        }
-        out.flush().map_err(io_err("flush visited run"))?;
-        drop(out);
-        let file = File::open(&path).map_err(io_err("reopen visited run"))?;
-        s.cold = Some(ColdRun {
-            file,
-            path,
-            len: written,
-            index,
-        });
+        merge().map_err(io_err("merge visited run"))?;
+        let run = merged.finish().map_err(io_err("flush visited run"))?;
+        s.cold = Some(ColdRun { run, path });
         Ok(())
     }
 
@@ -547,30 +446,38 @@ impl StateStore {
             }
         };
         let file = File::open(&seg.path).map_err(io_err("open frontier segment"))?;
+        // A record is `[u32 n][u64 digest][n frame bytes]`. The prefix
+        // goes through the bounded reader with the bytes the file still
+        // holds as its bound, so a corrupt one is an error, never an
+        // allocation.
+        let mut left = file
+            .metadata()
+            .map_err(io_err("open frontier segment"))?
+            .len();
         let mut reader = BufReader::new(file);
+        let mut read_record = || -> io::Result<Vec<u8>> {
+            let room = left.checked_sub(12).ok_or(io::ErrorKind::UnexpectedEof)?;
+            let bound = usize::try_from(room).unwrap_or(usize::MAX);
+            let n = framed::read_len(&mut reader, bound, |_| false)?
+                .ok_or(io::ErrorKind::UnexpectedEof)?;
+            left = room - n as u64;
+            let mut record = vec![0u8; 8 + n];
+            reader.read_exact(&mut record)?;
+            Ok(record)
+        };
         let mut out = Vec::with_capacity(seg.states);
-        let mut lenbuf = [0u8; 4];
-        let mut digestbuf = [0u8; 8];
         for _ in 0..seg.states {
-            reader
-                .read_exact(&mut lenbuf)
-                .map_err(io_err("read frontier segment"))?;
-            let n = u32::from_le_bytes(lenbuf) as usize;
-            reader
-                .read_exact(&mut digestbuf)
-                .map_err(io_err("read frontier segment"))?;
-            let mut bytes = vec![0u8; n];
-            reader
-                .read_exact(&mut bytes)
-                .map_err(io_err("read frontier segment"))?;
-            let frame = decode_frame(self.ctx(), &bytes).map_err(|source| StoreError::Corrupt {
-                op: "decode spilled frame",
-                source,
-            })?;
+            let record = read_record().map_err(io_err("read frontier segment"))?;
+            let frame =
+                decode_frame(self.ctx(), &record[8..]).map_err(|source| StoreError::Corrupt {
+                    op: "decode spilled frame",
+                    source,
+                })?;
             // Seed the compute-once cache with the digest recorded at
             // spill time (decode resolves shared structure back to the
             // program cache, so the structural digest is unchanged).
-            frame.state.digest.seed(u64::from_le_bytes(digestbuf));
+            let digest = u64::from_le_bytes(record[..8].try_into().expect("8 bytes"));
+            frame.state.digest.seed(digest);
             out.push(frame);
         }
         let _ = fs::remove_file(&seg.path);
@@ -801,7 +708,10 @@ mod tests {
     }
 
     /// Corrupted record *bytes* (full-length read, garbage content) must
-    /// surface as [`StoreError::Corrupt`].
+    /// surface as [`StoreError::Corrupt`]; a corrupted 12-byte record
+    /// *prefix* must surface as an error too — and a scrambled length
+    /// is refused against the bytes the file actually holds, before
+    /// anything is allocated for it.
     #[test]
     fn corrupt_segment_bytes_are_an_error_not_a_panic() {
         let params = ModelParams {
@@ -809,23 +719,31 @@ mod tests {
             ..ModelParams::default()
         };
         let state = sys(&[(&["li r1,1"], &[])], &[], params.clone());
-        let store = StateStore::new(state.program.clone(), &params, 1);
-        let frames: Vec<Frame> = (0..16).map(|_| Frame::root(state.clone())).collect();
-        store.spill_batch(&frames).expect("healthy spill");
-        let sealed = store.frontier.lock().unwrap().segments[0].path.clone();
-        let mut bytes = fs::read(&sealed).expect("read segment");
+        let unspill_after = |corrupt: &dyn Fn(&mut [u8])| -> StoreError {
+            let store = StateStore::new(state.program.clone(), &params, 1);
+            let frames: Vec<Frame> = (0..16).map(|_| Frame::root(state.clone())).collect();
+            store.spill_batch(&frames).expect("healthy spill");
+            let sealed = store.frontier.lock().unwrap().segments[0].path.clone();
+            let mut bytes = fs::read(&sealed).expect("read segment");
+            corrupt(&mut bytes);
+            fs::write(&sealed, &bytes).expect("write corrupt segment");
+            store
+                .unspill()
+                .expect_err("corrupt segment must surface an error")
+        };
         // Scramble the record payload (skip the 4-byte length and 8-byte
         // digest prefix so the framing still parses).
-        for b in bytes.iter_mut().skip(12) {
-            *b = !*b;
-        }
-        fs::write(&sealed, &bytes).expect("write corrupt segment");
-        let err = store
-            .unspill()
-            .expect_err("corrupt segment must surface an error");
+        let err = unspill_after(&|bytes| bytes.iter_mut().skip(12).for_each(|b| *b = !*b));
         assert!(
             matches!(err, StoreError::Corrupt { .. }),
             "expected Corrupt, got: {err:?}"
+        );
+        // Scramble the prefix: the length now reads just under 4 GiB.
+        let err = unspill_after(&|bytes| bytes[..12].iter_mut().for_each(|b| *b = !*b));
+        assert!(
+            matches!(&err, StoreError::Io { source, .. }
+                if source.kind() == io::ErrorKind::InvalidData),
+            "an oversized length must be refused up front, got: {err:?}"
         );
     }
 

@@ -8,9 +8,10 @@
 
 use crate::oracle::OracleStats;
 use crate::proto::{
-    decode_stats, encode_query, read_frame, write_frame, Budget, Frame, QueryRequest, SeqCheck,
-    REQ_QUERY, REQ_SHUTDOWN, REQ_STATS, RESP_ERROR, RESP_RESULT, RESP_SHUTDOWN_ACK, RESP_STATS,
+    decode_stats, encode_query, Budget, Frame, QueryRequest, MAX_FRAME, REQ_QUERY, REQ_SHUTDOWN,
+    REQ_STATS, RESP_ERROR, RESP_RESULT, RESP_SHUTDOWN_ACK, RESP_STATS,
 };
+use ppc_bits::framed::{Receiver, Sender};
 use ppc_litmus::Expectation;
 use ppc_model::net::Conn;
 use std::io;
@@ -32,8 +33,8 @@ pub enum Response {
 /// One connection to an `oracled` server.
 pub struct Client {
     conn: Conn,
-    seq_out: u64,
-    seq_in: SeqCheck,
+    tx: Sender,
+    rx: Receiver,
 }
 
 impl Client {
@@ -46,23 +47,20 @@ impl Client {
     pub fn connect(addr: &str) -> io::Result<Client> {
         Ok(Client {
             conn: Conn::connect_tcp_backoff(addr)?,
-            seq_out: 0,
-            seq_in: SeqCheck::default(),
+            tx: Sender::new(MAX_FRAME),
+            rx: Receiver::new(MAX_FRAME),
         })
     }
 
     /// One request/response round trip with sequence bookkeeping.
     fn roundtrip(&mut self, tag: u8, body: &[u8]) -> io::Result<Frame> {
-        write_frame(&mut self.conn, self.seq_out, tag, body)?;
-        self.seq_out += 1;
-        let frame = read_frame(&mut self.conn)?.ok_or_else(|| {
+        self.tx.send(&mut self.conn, tag, body)?;
+        self.rx.recv(&mut self.conn, |_| false)?.ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection before responding",
             )
-        })?;
-        self.seq_in.check(frame.seq)?;
-        Ok(frame)
+        })
     }
 
     /// Submit a litmus program.

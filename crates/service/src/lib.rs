@@ -17,18 +17,18 @@
 //!   versions. Two queries with the same key have byte-identical
 //!   results, by construction.
 //! - [`store`] — the persistent key → record store ([`ResultStore`]):
-//!   an append-only checksummed record log plus a sorted-run/sparse-
-//!   index lookup structure (the `ppc_model::store` visited-set
-//!   machinery, generalized from membership to retrieval), with atomic
-//!   append and crash-safe reload.
+//!   an append-only checksummed record log indexed by a hot map plus a
+//!   cold [`ppc_bits::SortedRun`] (the structure the exploration
+//!   store's visited set uses), with atomic append and crash-safe
+//!   reload.
 //! - [`oracle`] — the query engine ([`Oracle`]): probe the store, and
 //!   on a miss run the `ppc_litmus::harness` machinery exactly once per
 //!   distinct key (concurrent duplicate queries coalesce onto the one
 //!   in-flight exploration) and persist the JSONL [`TestReport`] line
 //!   as both the stored record and the wire format.
-//! - [`proto`] / [`server`] / [`client`] — the length-prefixed framed
-//!   wire protocol (reusing `ppc_model::net`'s envelope conventions),
-//!   the `oracled` accept/serve loop, and the submitting client.
+//! - [`proto`] / [`server`] / [`client`] — the wire protocol (tags and
+//!   body codecs over the [`ppc_bits::framed`] envelope), the `oracled`
+//!   accept/serve loop, and the submitting client.
 //!
 //! Bounded-tier honesty (Abdulla et al., context-bounded checking): a
 //! `truncated` or `bounded` record is cached and re-served as

@@ -1,19 +1,11 @@
 //! The framed wire protocol between `oracle-client` and `oracled`.
 //!
-//! Envelope (everything little-endian), reusing `ppc_model::net`'s
-//! distributed-oracle conventions — a length prefix so frames are
-//! delimited before they are interpreted, a sequence number so a
-//! dropped or duplicated frame is detected instead of silently
-//! desynchronizing the stream, then a tag byte and the body:
-//!
-//! ```text
-//! [u32 len][u64 seq][u8 tag][body…]      len = 9 + body.len()
-//! ```
-//!
-//! Each direction numbers its own frames from 0; the receiver checks
-//! the sequence is exactly `previous + 1`. Frames are bounded by
-//! [`MAX_FRAME`] — an oversized length prefix is corruption or abuse,
-//! and is rejected before any allocation.
+//! The envelope — length prefix, per-direction sequence number, tag
+//! byte, body — is [`ppc_bits::framed`]'s, the same one the distributed
+//! oracle's links speak; this module supplies the protocol on top of
+//! it: the frame bound ([`MAX_FRAME`]), the tag space, and the body
+//! codecs. A connection holds a [`ppc_bits::framed::Sender`] and
+//! [`ppc_bits::framed::Receiver`], which number and check the frames.
 //!
 //! Request tags: [`REQ_QUERY`] (a litmus program plus a [`Budget`]),
 //! [`REQ_STATS`], [`REQ_SHUTDOWN`]. Response tags: [`RESP_RESULT`]
@@ -24,6 +16,8 @@
 //! on-wire encoding in the repo (`ppc_bits`).
 
 use crate::oracle::OracleStats;
+use ppc_bits::framed;
+pub use ppc_bits::framed::Frame;
 use ppc_bits::{DecodeError, Reader, Writer};
 use ppc_litmus::Expectation;
 use std::io::{self, Read, Write};
@@ -63,41 +57,13 @@ pub struct Budget {
     pub timeout_ms: u64,
 }
 
-/// One decoded frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Frame {
-    /// Sender's frame sequence number.
-    pub seq: u64,
-    /// Frame tag (`REQ_*` / `RESP_*`).
-    pub tag: u8,
-    /// Tag-specific body.
-    pub body: Vec<u8>,
-}
-
 /// Write one frame.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; rejects bodies over [`MAX_FRAME`].
 pub fn write_frame(w: &mut impl Write, seq: u64, tag: u8, body: &[u8]) -> io::Result<()> {
-    let len = 9 + body.len();
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "frame exceeds MAX_FRAME",
-        ));
-    }
-    let mut buf = Vec::with_capacity(4 + len);
-    buf.extend_from_slice(
-        &u32::try_from(len)
-            .expect("bounded by MAX_FRAME")
-            .to_le_bytes(),
-    );
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.push(tag);
-    buf.extend_from_slice(body);
-    w.write_all(&buf)?;
-    w.flush()
+    framed::write_frame(w, MAX_FRAME, seq, tag, body)
 }
 
 /// Read one frame. `Ok(None)` is a clean EOF *at a frame boundary*;
@@ -109,64 +75,7 @@ pub fn write_frame(w: &mut impl Write, seq: u64, tag: u8, body: &[u8]) -> io::Re
 /// I/O errors, torn frames, and length prefixes outside
 /// `[9, MAX_FRAME]`.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
-    let mut lenbuf = [0u8; 4];
-    // Distinguish boundary-EOF from mid-frame EOF by hand: a first
-    // read of 0 bytes is a clean close.
-    let mut filled = 0;
-    while filled < 4 {
-        let n = r.read(&mut lenbuf[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None);
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "torn frame header",
-            ));
-        }
-        filled += n;
-    }
-    let len = u32::from_le_bytes(lenbuf) as usize;
-    if !(9..=MAX_FRAME).contains(&len) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad frame length {len}"),
-        ));
-    }
-    let mut rest = vec![0u8; len];
-    r.read_exact(&mut rest)?;
-    let seq = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
-    let tag = rest[8];
-    Ok(Some(Frame {
-        seq,
-        tag,
-        body: rest[9..].to_vec(),
-    }))
-}
-
-/// Per-direction sequence checking: frames must arrive numbered
-/// 0, 1, 2, … with no gaps or repeats.
-#[derive(Debug, Default)]
-pub struct SeqCheck {
-    next: u64,
-}
-
-impl SeqCheck {
-    /// Validate one arriving sequence number.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` on any gap or repeat (stream desync).
-    pub fn check(&mut self, seq: u64) -> io::Result<()> {
-        if seq != self.next {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame sequence gap: got {seq}, expected {}", self.next),
-            ));
-        }
-        self.next += 1;
-        Ok(())
-    }
+    framed::read_frame(r, MAX_FRAME, |_| false)
 }
 
 /// A decoded [`REQ_QUERY`] body.
@@ -310,10 +219,45 @@ mod tests {
 
     #[test]
     fn sequence_gaps_are_detected() {
-        let mut seq = SeqCheck::default();
-        seq.check(0).expect("first");
-        seq.check(1).expect("second");
-        assert!(seq.check(3).is_err(), "gap must be detected");
+        let mut wire = Vec::new();
+        for seq in [0, 1, 3] {
+            write_frame(&mut wire, seq, REQ_STATS, b"").expect("write");
+        }
+        let mut rd = wire.as_slice();
+        let mut seq = framed::Receiver::new(MAX_FRAME);
+        seq.recv(&mut rd, |_| false).expect("first");
+        seq.recv(&mut rd, |_| false).expect("second");
+        assert!(
+            seq.recv(&mut rd, |_| false).is_err(),
+            "gap must be detected"
+        );
+    }
+
+    /// The committed wire bytes of one query frame: a refactor of the
+    /// framer or the body codec must reproduce them exactly.
+    #[test]
+    fn golden_query_frame_bytes() {
+        let q = QueryRequest {
+            source: "POWER T".to_owned(),
+            expect: Expectation::Forbidden,
+            pinned_by: "g".to_owned(),
+            budget: Budget {
+                max_states: 1234,
+                timeout_ms: 9000,
+            },
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 3, REQ_QUERY, &encode_query(&q)).expect("write");
+        let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "18000000030000000000000001010167d209a84607504f5745522054"
+        );
+        let frame = read_frame(&mut wire.as_slice())
+            .expect("read")
+            .expect("one frame");
+        assert_eq!((frame.seq, frame.tag), (3, REQ_QUERY));
+        assert_eq!(decode_query(&frame.body).expect("decode"), q);
     }
 
     #[test]

@@ -31,25 +31,7 @@ use ppc_litmus::harness::HarnessConfig;
 use ppc_litmus::{CondAtom, CondExpr, Expectation, Job, Quantifier};
 use ppc_model::ModelParams;
 
-use ppc_bits::Writer;
-
-/// FNV-1a 64 offset basis.
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64 prime.
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over a byte string — the digest used to locate records
-/// (the full key bytes disambiguate, so this needs to be well-spread,
-/// not cryptographic).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV64_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV64_PRIME);
-    }
-    h
-}
+use ppc_bits::{fnv1a64, Writer};
 
 /// One oracle query: a harness [`Job`] plus everything else that
 /// deterministically shapes the stored record.

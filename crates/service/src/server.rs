@@ -17,12 +17,13 @@
 
 use crate::oracle::Oracle;
 use crate::proto::{
-    decode_query, encode_stats, write_frame, Frame, SeqCheck, MAX_FRAME, REQ_QUERY, REQ_SHUTDOWN,
-    REQ_STATS, RESP_ERROR, RESP_RESULT, RESP_SHUTDOWN_ACK, RESP_STATS,
+    decode_query, encode_stats, MAX_FRAME, REQ_QUERY, REQ_SHUTDOWN, REQ_STATS, RESP_ERROR,
+    RESP_RESULT, RESP_SHUTDOWN_ACK, RESP_STATS,
 };
+use ppc_bits::framed::{Receiver, Sender};
 use ppc_litmus::Job;
 use ppc_model::net::{is_timeout, Conn, Listener, NetParams};
-use std::io::{self, Read};
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -143,104 +144,32 @@ pub fn serve(cfg: &ServerConfig, oracle: Arc<Oracle>) -> io::Result<ServerHandle
     })
 }
 
-/// Read exactly `buf.len()` bytes, riding out the poll timeout.
-/// `allow_idle_exit` (header reads only) lets the loop give up when
-/// the shutdown flag rises *before any byte arrived* — mid-frame, the
-/// frame is always finished.
-enum PolledRead {
-    Full,
-    /// Clean EOF before any byte.
-    Eof,
-    /// Shutdown observed while idle.
-    Shutdown,
-}
-
-fn read_full_polled(
-    conn: &mut Conn,
-    buf: &mut [u8],
-    flag: &AtomicBool,
-    allow_idle_exit: bool,
-) -> io::Result<PolledRead> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match conn.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(PolledRead::Eof);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "torn frame from client",
-                ));
-            }
-            Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => {
-                if filled == 0 && allow_idle_exit && flag.load(Ordering::Relaxed) {
-                    return Ok(PolledRead::Shutdown);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(PolledRead::Full)
-}
-
-/// Read one frame with shutdown polling at the frame boundary.
-fn read_frame_polled(conn: &mut Conn, flag: &AtomicBool) -> io::Result<Option<Frame>> {
-    let mut lenbuf = [0u8; 4];
-    match read_full_polled(conn, &mut lenbuf, flag, true)? {
-        PolledRead::Eof | PolledRead::Shutdown => return Ok(None),
-        PolledRead::Full => {}
-    }
-    let len = u32::from_le_bytes(lenbuf) as usize;
-    if !(9..=MAX_FRAME).contains(&len) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad frame length {len}"),
-        ));
-    }
-    let mut rest = vec![0u8; len];
-    match read_full_polled(conn, &mut rest, flag, false)? {
-        PolledRead::Full => {}
-        PolledRead::Eof | PolledRead::Shutdown => {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "torn frame from client",
-            ));
-        }
-    }
-    Ok(Some(Frame {
-        seq: u64::from_le_bytes(rest[..8].try_into().expect("8 bytes")),
-        tag: rest[8],
-        body: rest[9..].to_vec(),
-    }))
-}
-
 /// Serve one connection until EOF, shutdown, or a protocol error.
 fn handle_conn(mut conn: Conn, oracle: &Oracle, flag: &AtomicBool) -> io::Result<()> {
     // Short read timeout = shutdown-poll granularity. (Writes keep a
     // generous bound so a stalled client can't wedge a handler
     // forever; responses are small.)
     conn.apply_net(&NetParams::from_millis(CONN_POLL_MS, CONN_POLL_MS * 2))?;
-    let mut seq_in = SeqCheck::default();
-    let mut seq_out = 0u64;
-    let mut send = |conn: &mut Conn, tag: u8, body: &[u8]| -> io::Result<()> {
-        let r = write_frame(conn, seq_out, tag, body);
-        seq_out += 1;
-        r
-    };
+    let mut rx = Receiver::new(MAX_FRAME);
+    let mut tx = Sender::new(MAX_FRAME);
     loop {
-        let Some(frame) = read_frame_polled(&mut conn, flag)? else {
-            return Ok(()); // clean EOF or idle shutdown
+        // The read timeout is only a poll tick: mid-frame it is ridden
+        // out (a frame whose header has started arriving is always read
+        // to completion), at a frame boundary it ends the connection
+        // once shutdown has been requested.
+        let keep_waiting = |mid_frame| mid_frame || !flag.load(Ordering::Relaxed);
+        let frame = match rx.recv(&mut conn, keep_waiting) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return Ok(()),                 // clean EOF
+            Err(e) if is_timeout(&e) => return Ok(()), // idle shutdown
+            Err(e) => return Err(e),
         };
-        seq_in.check(frame.seq)?;
         match frame.tag {
             REQ_QUERY => {
                 let req = match decode_query(&frame.body) {
                     Ok(req) => req,
                     Err(e) => {
-                        send(&mut conn, RESP_ERROR, format!("bad query: {e}").as_bytes())?;
+                        tx.send(&mut conn, RESP_ERROR, format!("bad query: {e}").as_bytes())?;
                         continue;
                     }
                 };
@@ -250,10 +179,10 @@ fn handle_conn(mut conn: Conn, oracle: &Oracle, flag: &AtomicBool) -> io::Result
                         let mut body = Vec::with_capacity(1 + out.line.len());
                         body.push(u8::from(out.cached));
                         body.extend_from_slice(out.line.as_bytes());
-                        send(&mut conn, RESP_RESULT, &body)?;
+                        tx.send(&mut conn, RESP_RESULT, &body)?;
                     }
                     Err(e) => {
-                        send(
+                        tx.send(
                             &mut conn,
                             RESP_ERROR,
                             format!("parse error: {e}").as_bytes(),
@@ -262,15 +191,15 @@ fn handle_conn(mut conn: Conn, oracle: &Oracle, flag: &AtomicBool) -> io::Result
                 }
             }
             REQ_STATS => {
-                send(&mut conn, RESP_STATS, &encode_stats(&oracle.stats()))?;
+                tx.send(&mut conn, RESP_STATS, &encode_stats(&oracle.stats()))?;
             }
             REQ_SHUTDOWN => {
-                send(&mut conn, RESP_SHUTDOWN_ACK, b"")?;
+                tx.send(&mut conn, RESP_SHUTDOWN_ACK, b"")?;
                 flag.store(true, Ordering::Relaxed);
                 return Ok(());
             }
             tag => {
-                send(
+                tx.send(
                     &mut conn,
                     RESP_ERROR,
                     format!("unknown request tag {tag:#04x}").as_bytes(),

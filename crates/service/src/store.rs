@@ -1,9 +1,8 @@
 //! The persistent content-addressed result store: an append-only
-//! checksummed record log plus a sorted-run index with a sparse
-//! in-memory key table — `ppc_model::store`'s visited-set machinery
-//! (hot set + cold sorted run, one positioned block read per cold
-//! probe, LSM-style deferred merge) generalized from membership
-//! (`digest ∈ set?`) to retrieval (`key → record`).
+//! checksummed record log plus a two-tier index over it — a hot map of
+//! the unindexed tail and a cold [`SortedRun`] of `(digest, log offset)`
+//! pairs (one positioned block read per cold probe), the structure the
+//! exploration store's visited set keeps its digests in.
 //!
 //! # Layout (`--cache DIR`)
 //!
@@ -35,9 +34,10 @@
 //! in this module panics on disk content.
 
 use crate::query::QueryKey;
+use ppc_bits::SortedRun;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write as _};
+use std::io::{self, Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Record-log file name (the `v1` is [`crate::REPORT_VERSION`]-aligned:
@@ -50,9 +50,9 @@ pub const IDX_NAME: &str = "oracle.v1.idx";
 const IDX_MAGIC: &[u8; 4] = b"PPCX";
 /// Index-file format version.
 const IDX_VERSION: u32 = 1;
-/// `(digest, offset)` pairs per sparse-index block: a cold probe reads
-/// one 4 KiB block (256 × 16 bytes), mirroring `ppc_model::store`.
-const IDX_BLOCK: usize = 256;
+/// Index-file header bytes ahead of the run: magic, version, log bytes
+/// covered, pair count.
+const IDX_HEADER: u64 = 24;
 /// Hot-map entries before the index is rebuilt. Few hundred suites fit
 /// in memory trivially; the rebuild exists so a long-lived server's
 /// reload cost stays proportional to the unindexed tail, not the log.
@@ -87,67 +87,21 @@ pub enum Probe {
     Corrupt,
 }
 
-/// The cold half of the lookup structure: a sorted `(digest, offset)`
-/// run on disk with an in-memory sparse index (first digest of each
-/// block), exactly the `ColdRun` shape of the visited set but carrying
-/// a payload per key.
-struct ColdIndex {
-    file: File,
-    /// Pairs in the run.
-    len: usize,
-    /// First digest of each `IDX_BLOCK`-sized block.
-    sparse: Vec<u64>,
-    /// Log bytes covered when this index was built (reload scans the
-    /// log from here).
-    covered: u64,
+/// The index run: `(digest, log offset)` pairs sorted by digest.
+type ColdIndex = SortedRun<16>;
+
+fn pair(digest: u64, offset: u64) -> [u8; 16] {
+    let mut record = [0u8; 16];
+    record[..8].copy_from_slice(&digest.to_le_bytes());
+    record[8..].copy_from_slice(&offset.to_le_bytes());
+    record
 }
 
-impl ColdIndex {
-    /// Locate `digest` via the sparse index, read its block, binary
-    /// search within. Returns the record's log offset.
-    fn get(&mut self, digest: u64) -> io::Result<Option<u64>> {
-        let b = match self.sparse.partition_point(|&k| k <= digest) {
-            0 => return Ok(None),
-            p => p - 1,
-        };
-        let start = b * IDX_BLOCK;
-        let count = IDX_BLOCK.min(self.len - start);
-        let mut buf = vec![0u8; count * 16];
-        self.file.seek(SeekFrom::Start(24 + (start * 16) as u64))?;
-        self.file.read_exact(&mut buf)?;
-        let pair = |i: usize| -> (u64, u64) {
-            let d = u64::from_le_bytes(buf[i * 16..i * 16 + 8].try_into().expect("8 bytes"));
-            let o = u64::from_le_bytes(buf[i * 16 + 8..i * 16 + 16].try_into().expect("8 bytes"));
-            (d, o)
-        };
-        let (mut lo, mut hi) = (0usize, count);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let (d, o) = pair(mid);
-            match d.cmp(&digest) {
-                std::cmp::Ordering::Equal => return Ok(Some(o)),
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-            }
-        }
-        Ok(None)
-    }
-
-    /// Stream every pair in the run, in digest order.
-    fn read_all(&mut self) -> io::Result<Vec<(u64, u64)>> {
-        self.file.seek(SeekFrom::Start(24))?;
-        let mut reader = io::BufReader::new(&self.file);
-        let mut out = Vec::with_capacity(self.len);
-        let mut buf = [0u8; 16];
-        for _ in 0..self.len {
-            reader.read_exact(&mut buf)?;
-            out.push((
-                u64::from_le_bytes(buf[..8].try_into().expect("8 bytes")),
-                u64::from_le_bytes(buf[8..].try_into().expect("8 bytes")),
-            ));
-        }
-        Ok(out)
-    }
+fn unpair(record: &[u8; 16]) -> (u64, u64) {
+    (
+        u64::from_le_bytes(record[..8].try_into().expect("8 bytes")),
+        u64::from_le_bytes(record[8..].try_into().expect("8 bytes")),
+    )
 }
 
 /// The persistent key → record store. Not internally synchronized —
@@ -197,16 +151,22 @@ impl ResultStore {
             .open(&log_path)?;
         let log_read = File::open(&log_path)?;
         let log_len = log_read.metadata()?.len();
+        // The index says how much of the log it covers; the scan
+        // picks up from there.
+        let (cold, covered) = match load_index(dir, log_len) {
+            Some((cold, covered)) => (Some(cold), covered),
+            None => (None, 0),
+        };
         let mut store = ResultStore {
             dir: dir.to_path_buf(),
             log_read,
             log_write,
             log_len,
             hot: HashMap::new(),
-            cold: load_index(dir, log_len),
+            cold,
             hot_limit: hot_limit.max(1),
         };
-        store.scan_tail()?;
+        store.scan_tail(covered)?;
         Ok(store)
     }
 
@@ -217,7 +177,7 @@ impl ResultStore {
         // by tests and diagnostics, so the small overlap overcount from
         // re-put keys is acceptable there — dedup would need a cold
         // scan.
-        self.hot.len() + self.cold.as_ref().map_or(0, |c| c.len)
+        self.hot.len() + self.cold.as_ref().map_or(0, SortedRun::len)
     }
 
     /// Whether the store holds no records.
@@ -233,9 +193,9 @@ impl ResultStore {
         let hot = self.hot.get(&key.digest).copied();
         let offset = match hot {
             Some(off) => Some(off),
-            None => match self.cold.as_mut().map(|c| c.get(key.digest)) {
+            None => match self.cold.as_mut().map(|c| c.find(key.digest)) {
                 None | Some(Ok(None)) => None,
-                Some(Ok(Some(off))) => Some(off),
+                Some(Ok(Some(record))) => Some(unpair(&record).1),
                 // An unreadable index is treated like a corrupt record:
                 // the caller re-explores and the re-put eventually
                 // rebuilds the index.
@@ -332,10 +292,9 @@ impl ResultStore {
         }
     }
 
-    /// Scan the log from the index's coverage point, filling the hot
-    /// map and truncating a torn tail.
-    fn scan_tail(&mut self) -> io::Result<()> {
-        let start = self.cold.as_ref().map_or(0, |c| c.covered);
+    /// Scan the log from `start` (the index's coverage point), filling
+    /// the hot map and truncating a torn tail.
+    fn scan_tail(&mut self, start: u64) -> io::Result<()> {
         let mut pos = start;
         self.log_read.seek(SeekFrom::Start(pos))?;
         let mut reader = io::BufReader::new(&self.log_read);
@@ -381,10 +340,13 @@ impl ResultStore {
     /// and atomically renamed over the index (the log is untouched —
     /// the index never owns data).
     fn rebuild_index(&mut self) -> io::Result<()> {
-        let mut pairs: Vec<(u64, u64)> = match self.cold.as_mut() {
-            Some(c) => c.read_all()?,
-            None => Vec::new(),
-        };
+        let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(self.len());
+        if let Some(cold) = self.cold.as_mut() {
+            cold.for_each(|record| {
+                pairs.push(unpair(record));
+                Ok(())
+            })?;
+        }
         pairs.extend(self.hot.iter().map(|(&d, &o)| (d, o)));
         // Newest offset wins on duplicate digests: sort by (digest,
         // offset) and keep the last of each digest group.
@@ -399,42 +361,43 @@ impl ResultStore {
         });
 
         let tmp = self.dir.join(format!("{IDX_NAME}.tmp"));
-        let idx_path = self.dir.join(IDX_NAME);
-        {
-            let mut w = BufWriter::new(File::create(&tmp)?);
-            w.write_all(IDX_MAGIC)?;
-            w.write_all(&IDX_VERSION.to_le_bytes())?;
-            w.write_all(&self.log_len.to_le_bytes())?;
-            w.write_all(&(pairs.len() as u64).to_le_bytes())?;
-            for (d, o) in &pairs {
-                w.write_all(&d.to_le_bytes())?;
-                w.write_all(&o.to_le_bytes())?;
-            }
-            w.flush()?;
-            w.get_ref().sync_all()?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
+        let header = [
+            IDX_MAGIC.as_slice(),
+            &IDX_VERSION.to_le_bytes(),
+            &self.log_len.to_le_bytes(),
+            &(pairs.len() as u64).to_le_bytes(),
+        ];
+        file.write_all(&header.concat())?;
+        let mut run = ColdIndex::create(file, IDX_HEADER);
+        for &(digest, offset) in &pairs {
+            run.push(&pair(digest, offset))?;
         }
-        fs::rename(&tmp, &idx_path)?;
-        let sparse = pairs.iter().step_by(IDX_BLOCK).map(|&(d, _)| d).collect();
-        self.cold = Some(ColdIndex {
-            file: File::open(&idx_path)?,
-            len: pairs.len(),
-            sparse,
-            covered: self.log_len,
-        });
+        let cold = run.finish()?;
+        cold.sync_all()?;
+        // The handle stays valid across the rename (same inode).
+        fs::rename(&tmp, self.dir.join(IDX_NAME))?;
+        self.cold = Some(cold);
         self.hot.clear();
         Ok(())
     }
 }
 
-/// Validate and load the index file, if any. Any problem — missing
-/// file, bad magic/version, size mismatch, coverage beyond the log
-/// (an index paired with the wrong log) — discards the index; the log
-/// is the source of truth.
-fn load_index(dir: &Path, log_len: u64) -> Option<ColdIndex> {
+/// Validate and load the index file, if any, returning the run and the
+/// log bytes it covers. Any problem — missing file, bad magic/version,
+/// size mismatch, coverage beyond the log (an index paired with the
+/// wrong log), an unsorted key table — discards the index; the log is
+/// the source of truth.
+fn load_index(dir: &Path, log_len: u64) -> Option<(ColdIndex, u64)> {
     let path = dir.join(IDX_NAME);
     let mut file = File::open(&path).ok()?;
     let file_len = file.metadata().ok()?.len();
-    let mut header = [0u8; 24];
+    let mut header = [0u8; IDX_HEADER as usize];
     file.read_exact(&mut header).ok()?;
     if &header[..4] != IDX_MAGIC {
         return None;
@@ -444,30 +407,12 @@ fn load_index(dir: &Path, log_len: u64) -> Option<ColdIndex> {
     }
     let covered = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
     let count = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
-    if covered > log_len || file_len != 24 + count * 16 {
+    if covered > log_len || file_len != IDX_HEADER + count * 16 {
         return None;
     }
     let count = usize::try_from(count).ok()?;
-    // The sparse table: first digest of each block.
-    let mut sparse = Vec::with_capacity(count.div_ceil(IDX_BLOCK));
-    let mut buf = [0u8; 8];
-    for block in 0..count.div_ceil(IDX_BLOCK) {
-        file.seek(SeekFrom::Start(24 + (block * IDX_BLOCK * 16) as u64))
-            .ok()?;
-        file.read_exact(&mut buf).ok()?;
-        sparse.push(u64::from_le_bytes(buf));
-    }
-    // Sorted-run invariant: a scrambled sparse table would misroute
-    // probes into the wrong block (a silent systematic miss).
-    if sparse.windows(2).any(|w| w[0] > w[1]) {
-        return None;
-    }
-    Some(ColdIndex {
-        file,
-        len: count,
-        sparse,
-        covered,
-    })
+    // `open` refuses a run whose sparse key table is out of order.
+    Some((ColdIndex::open(file, IDX_HEADER, count).ok()?, covered))
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ mod common;
 use common::{env_u64, gen_program};
 use ppcmem::litmus::distrib::{outcomes_distributed, run_source_distributed, DistribConfig};
 use ppcmem::litmus::{build_system, library, observations, parse};
-use ppcmem::model::distrib::DIE_AFTER_ENV;
+use ppcmem::model::net::FAULT_ENV;
 use ppcmem::model::{explore_limited, ExploreLimits, ModelParams, Outcomes};
 
 /// Worker re-exec entry point: in a normal test run the env var is
@@ -230,7 +230,7 @@ fn killed_worker_reports_truncation_never_silent() {
     let _ = std::fs::remove_file(&tmp);
     let mut cfg = dcfg(2);
     cfg.checkpoint = Some(tmp.clone());
-    cfg.worker_env = vec![(DIE_AFTER_ENV.to_owned(), "40".to_owned())];
+    cfg.worker_env = vec![(FAULT_ENV.to_owned(), "die:40".to_owned())];
     let result = run_source_distributed(source, &params, &limits, &cfg);
     assert!(
         result.stats.truncated,

@@ -30,7 +30,6 @@ mod common;
 use common::{env_u64, gen_program};
 use ppcmem::litmus::distrib::{outcomes_distributed, DistribConfig, WorkerLaunch};
 use ppcmem::litmus::{build_system, library, observations, parse};
-use ppcmem::model::distrib::DIE_AFTER_ENV;
 use ppcmem::model::net::FAULT_ENV;
 use ppcmem::model::{explore_limited, ExploreLimits, ModelParams, Outcomes};
 use std::time::Instant;
@@ -394,7 +393,7 @@ fn fault_delayed_frame_is_absorbed() {
     assert!(!ck.exists(), "clean completion must delete the checkpoint");
 }
 
-/// A killed worker over TCP (same `DIE_AFTER` abort as the Unix-socket
+/// A killed worker over TCP (same `die:N` abort as the Unix-socket
 /// suite): truncated + `store_error` + resumable death checkpoint.
 #[test]
 fn fault_killed_worker_over_tcp_resumes() {
@@ -402,14 +401,14 @@ fn fault_killed_worker_over_tcp_resumes() {
     let _ = std::fs::remove_file(&tmp);
     let mut cfg = tcfg(2);
     cfg.checkpoint = Some(tmp.clone());
-    cfg.worker_env = vec![(DIE_AFTER_ENV.to_owned(), "40".to_owned())];
+    cfg.worker_env = vec![(FAULT_ENV.to_owned(), "die:40".to_owned())];
     let got = outcomes_distributed(
         library_source("MP"),
         &ModelParams::default(),
         &ExploreLimits::default(),
         &cfg,
     );
-    assert_lossy_fault_degrades_then_resumes("die-after:40", &got, cfg);
+    assert_lossy_fault_degrades_then_resumes("die:40", &got, cfg);
 }
 
 /// Chaos sweep: random programs × random faults from the full grammar.

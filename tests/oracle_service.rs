@@ -225,3 +225,43 @@ fn garbage_frame_drops_one_connection_not_the_server() {
     assert!(TestReport::from_json_line(&line).expect("parses").matches);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The committed `tests/data/oracle_cache_v1/` directory was written by
+/// the commit before the store moved onto `ppc_bits::SortedRun`
+/// (`open_with(dir, 4)`, 14 keys + one re-put, so 12 records are cold,
+/// 3 sit in the unindexed log tail, and key 2's newer record shadows its
+/// indexed one). Any later build must serve it byte-for-byte and leave
+/// both files as they are — the on-disk formats did not move.
+#[test]
+fn committed_v1_cache_fixture_is_served_byte_for_byte() {
+    use ppcmem::service::store::{Probe, IDX_NAME, LOG_NAME};
+    use ppcmem::service::{QueryKey, ResultStore};
+
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/oracle_cache_v1");
+    let dir = create_unique_temp_dir("ppcmem-svc-fixture").expect("temp dir");
+    for name in [LOG_NAME, IDX_NAME] {
+        std::fs::copy(fixture.join(name), dir.join(name)).expect("copy fixture");
+    }
+    let mut store = ResultStore::open(&dir).expect("open fixture");
+    for i in 0..14u64 {
+        let key = QueryKey::from_bytes(format!("fixture-key-{i}").into_bytes());
+        let states = if i == 2 { 999 } else { i * 7 + 1 };
+        assert_eq!(
+            store.get(&key),
+            Probe::Hit(format!("{{\"name\":\"fixture-{i}\",\"states\":{states}}}")),
+            "fixture record {i}"
+        );
+    }
+    let absent = QueryKey::from_bytes(b"fixture-key-14".to_vec());
+    assert_eq!(store.get(&absent), Probe::Miss);
+    drop(store);
+    for name in [LOG_NAME, IDX_NAME] {
+        assert_eq!(
+            std::fs::read(dir.join(name)).expect("read back"),
+            std::fs::read(fixture.join(name)).expect("read fixture"),
+            "{name} must survive an open untouched"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
