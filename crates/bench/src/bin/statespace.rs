@@ -20,7 +20,9 @@
 //! `--distributed N` swaps the in-process parallel engine for the
 //! multi-process distributed oracle (N forked workers, each owning a
 //! digest-prefix shard of the visited set; `crates/model/src/distrib.rs`),
-//! cross-checked against the sequential engine under the same rules.
+//! cross-checked against the sequential engine under the same rules;
+//! each row then ends with the frame records the coordinator relayed
+//! (the engine's codec-and-socket traffic, to set against `states`).
 //! `--checkpoint PATH` makes each distributed exploration resumable:
 //! a budget/deadline pause writes `PATH.<test>`, and a rerun picks up
 //! where it stopped (the file is deleted on completion).
@@ -183,8 +185,9 @@ fn main() {
             format!(", context bound {context_bound} (approximate)")
         }
     );
+    let rule = "-".repeat(if distributed != 0 { 94 } else { 84 });
     println!(
-        "{:<22} {:>9} {:>12} {:>8} {:>9} {:>9} {:>8}",
+        "{:<22} {:>9} {:>12} {:>8} {:>9} {:>9} {:>8}{}",
         "test",
         "states",
         "transitions",
@@ -195,9 +198,10 @@ fn main() {
         } else {
             format!("t{threads}(s)")
         },
-        "speedup"
+        "speedup",
+        if distributed != 0 { "   relayed" } else { "" }
     );
-    println!("{}", "-".repeat(84));
+    println!("{rule}");
     for name in LADDER {
         let Some(e) = library().into_iter().find(|e| e.name == *name) else {
             continue;
@@ -280,17 +284,22 @@ fn main() {
             );
         }
         println!(
-            "{:<22} {:>9} {:>12} {:>8} {:>9.2} {:>9.2} {:>7.2}x",
+            "{:<22} {:>9} {:>12} {:>8} {:>9.2} {:>9.2} {:>7.2}x{}",
             format!("{name}{}", if was_cached { "*" } else { "" }),
             s1.2,
             s1.3,
             s1.0,
             dt1,
             dtn,
-            dt1 / dtn
+            dt1 / dtn,
+            if distributed != 0 {
+                format!(" {:>9}", rn.relayed_frames)
+            } else {
+                String::new()
+            }
         );
     }
-    println!("{}", "-".repeat(84));
+    println!("{rule}");
 
     // Sequential contrast: a straight-line program, per-instruction cost.
     let test = parse(

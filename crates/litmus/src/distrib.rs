@@ -71,6 +71,13 @@ const ACCEPT_DEADLINE: Duration = Duration::from_secs(10);
 /// ([`WorkerLaunch::TcpListen`]) — machines boot, images pull.
 const EXTERNAL_ACCEPT_DEADLINE: Duration = Duration::from_secs(120);
 
+/// First and longest sleep between polls of the non-blocking `accept`
+/// (doubling from one to the other). A self-spawned worker connects a
+/// few milliseconds after its `exec`, and every verdict pays the poll's
+/// overshoot once, so the cap stays under a millisecond.
+const ACCEPT_POLL_MIN: Duration = Duration::from_micros(50);
+const ACCEPT_POLL_MAX: Duration = Duration::from_micros(800);
+
 /// Read deadline on a worker's socket before the job frame arrives
 /// (after it, [`NetParams::peer_timeout`] governs).
 const PRE_JOB_TIMEOUT: Duration = Duration::from_secs(30);
@@ -343,6 +350,12 @@ pub fn explore_distributed(
         }
     }
 
+    // The coordinator's own copy of the system (for the root frame and
+    // the codec context) is built here, while the workers are still
+    // starting up, not after the last of them has connected.
+    let initial = build_system(test, params);
+    let ctx = CodecCtx::new(initial.program.clone(), params.clone());
+
     // Accept exactly n connections, watching (when self-spawned) for
     // workers that die before connecting.
     let accept_deadline = std::env::var(ACCEPT_SECS_ENV)
@@ -356,6 +369,7 @@ pub fn explore_distributed(
         });
     let mut conns: Vec<Conn> = Vec::with_capacity(n);
     let t0 = Instant::now();
+    let mut poll = ACCEPT_POLL_MIN;
     let accept_err = loop {
         match listener.accept() {
             Ok(s) => {
@@ -381,7 +395,8 @@ pub fn explore_distributed(
                         "a distributed worker died before connecting",
                     ));
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(poll);
+                poll = (poll * 2).min(ACCEPT_POLL_MAX);
             }
             Err(e) => break Some(e),
         }
@@ -419,8 +434,6 @@ pub fn explore_distributed(
         return Err(e);
     }
 
-    let initial = build_system(test, params);
-    let ctx = CodecCtx::new(initial.program.clone(), params.clone());
     let root = Frame::root(initial);
     let outcome = distrib::coordinate(
         conns,
@@ -459,7 +472,10 @@ pub fn run_source_distributed(
 ) -> RunResult {
     let test = crate::parse(source).expect("distributed source parses");
     match explore_distributed(source, &test, params, limits, cfg) {
-        Ok(out) => result_from_outcomes(&test, &out.outcomes),
+        Ok(out) => RunResult {
+            relayed_frames: out.relayed_frames,
+            ..result_from_outcomes(&test, &out.outcomes)
+        },
         Err(e) => RunResult {
             name: test.name.clone(),
             finals: 0,
@@ -470,6 +486,7 @@ pub fn run_source_distributed(
                 store_error: Some(format!("distributed setup failed: {e}")),
                 ..ExplorationStats::default()
             },
+            relayed_frames: 0,
         },
     }
 }

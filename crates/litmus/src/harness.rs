@@ -204,6 +204,10 @@ pub struct TestReport {
     /// Distributed worker processes the exploration ran on (`0` = the
     /// in-process engines).
     pub workers: usize,
+    /// Frame records the distributed coordinator forwarded to workers
+    /// (the root plus every cross-shard relay; `0` in-process): the
+    /// engine's codec-and-socket traffic, to set against `states`.
+    pub relayed_frames: u64,
     /// Wall-clock time for the exploration.
     pub wall: Duration,
 }
@@ -235,10 +239,13 @@ impl TestReport {
     /// change, `bounded` in the context-bounding change, and
     /// `spilled`/`workers` in the distributed-oracle change; everything
     /// before `resident_peak` is bit-for-bit the PR 2 schema).
+    /// `relayed_frames` follows `workers` on distributed rows only
+    /// (`workers > 0`): an in-process row has nothing to say there, and
+    /// stays byte-for-byte what earlier producers wrote.
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"name\":{},\"expected\":\"{}\",\"model\":\"{}\",\"match\":{},\"conclusive\":{},\"truncated\":{},\"states\":{},\"transitions\":{},\"finals\":{},\"wall_ms\":{:.3},\"pinned_by\":{},\"resident_peak\":{},\"bounded\":{},\"spilled\":{},\"workers\":{}}}",
+            "{{\"name\":{},\"expected\":\"{}\",\"model\":\"{}\",\"match\":{},\"conclusive\":{},\"truncated\":{},\"states\":{},\"transitions\":{},\"finals\":{},\"wall_ms\":{:.3},\"pinned_by\":{},\"resident_peak\":{},\"bounded\":{},\"spilled\":{},\"workers\":{}{}}}",
             json_str(&self.name),
             self.expected,
             self.verdict(),
@@ -254,6 +261,11 @@ impl TestReport {
             self.bounded,
             self.spilled,
             self.workers,
+            if self.workers > 0 {
+                format!(",\"relayed_frames\":{}", self.relayed_frames)
+            } else {
+                String::new()
+            },
         )
     }
 
@@ -263,8 +275,10 @@ impl TestReport {
     /// Every field of the schema
     /// (`name`/`expected`/`model`/`match`/`conclusive`/`truncated`/
     /// `states`/`transitions`/`finals`/`wall_ms`/`pinned_by`/
-    /// `resident_peak`/`bounded`/`spilled`/`workers`) must be present,
-    /// and the redundant
+    /// `resident_peak`/`bounded`/`spilled`/`workers`) must be present;
+    /// `relayed_frames` reads as `0` when absent (in-process rows never
+    /// carry it, and distributed rows stored before it existed must keep
+    /// being served under the unchanged report version). The redundant
     /// `conclusive` field must agree with the value derived from
     /// `truncated`, `bounded`, and `model` — a disagreement means the
     /// producer and consumer have drifted.
@@ -328,6 +342,12 @@ impl TestReport {
             bounded: get_bool("bounded")?,
             spilled: get_usize("spilled")?,
             workers: get_usize("workers")?,
+            relayed_frames: match fields.iter().find(|(k, _)| *k == "relayed_frames") {
+                Some((_, v)) => v
+                    .parse()
+                    .map_err(|_| "`relayed_frames` is not an integer".to_owned())?,
+                None => 0,
+            },
             wall: Duration::from_secs_f64(wall_ms / 1e3),
         };
         let conclusive = get_bool("conclusive")?;
@@ -646,6 +666,7 @@ fn run_job_with_threads(job: &Job, cfg: &HarnessConfig, threads: usize) -> TestR
         bounded: result.stats.bounded,
         spilled: result.stats.spilled_states,
         workers: cfg.distributed,
+        relayed_frames: result.relayed_frames,
         wall,
     }
 }

@@ -30,6 +30,10 @@ pub struct RunResult {
     pub holds: bool,
     /// Exploration statistics.
     pub stats: ppc_model::ExplorationStats,
+    /// Frame records the distributed coordinator forwarded to workers
+    /// ([`ppc_model::distrib::DistribOutcome::relayed_frames`]); `0` for
+    /// the in-process engines.
+    pub relayed_frames: u64,
 }
 
 /// Build the initial [`SystemState`] for a test.
@@ -130,6 +134,7 @@ pub(crate) fn result_from_outcomes(test: &LitmusTest, out: &ppc_model::Outcomes)
         witnessed,
         holds,
         stats: out.stats.clone(),
+        relayed_frames: 0,
     }
 }
 

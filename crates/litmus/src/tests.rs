@@ -203,7 +203,10 @@ fn jsonl_report_round_trips() {
 /// `resident_peak` was appended (spill-store change), `bounded` after
 /// it (context-bounding change), and `spilled`/`workers` after that
 /// (distributed-oracle change); everything before `resident_peak` is
-/// the PR 2 line, fields in the same order.
+/// the PR 2 line, fields in the same order. `relayed_frames` came last
+/// and is the one field a reader may find missing: only distributed
+/// rows carry it, and result stores written before it hold lines like
+/// `frozen` below, which must keep parsing.
 #[test]
 fn jsonl_schema_is_stable() {
     use crate::harness::TestReport;
@@ -243,6 +246,19 @@ fn jsonl_schema_is_stable() {
     assert!(TestReport::from_json_line(&missing_spilled).is_err());
     let missing_workers = frozen.replace(",\"workers\":2", "");
     assert!(TestReport::from_json_line(&missing_workers).is_err());
+
+    // `relayed_frames`: absent reads as 0, present is read, malformed
+    // is an error like any other field.
+    assert_eq!(r.relayed_frames, 0);
+    let relayed = |v: &str| {
+        frozen.replace(
+            "\"workers\":2",
+            &format!("\"workers\":2,\"relayed_frames\":{v}"),
+        )
+    };
+    let with = TestReport::from_json_line(&relayed("1279")).expect("appended field parses");
+    assert_eq!(with.relayed_frames, 1279);
+    assert!(TestReport::from_json_line(&relayed("\"many\"")).is_err());
 }
 
 /// Escaped names survive the full serialise → parse cycle.
@@ -264,7 +280,8 @@ fn jsonl_escaping_round_trips() {
         resident_peak: 5,
         bounded: false,
         spilled: 0,
-        workers: 0,
+        workers: 2,
+        relayed_frames: 9,
         wall: Duration::from_micros(1500),
     };
     let line = original.to_json();
@@ -392,6 +409,7 @@ fn bounded_unwitnessed_is_never_conclusive() {
         bounded: true,
         spilled: 0,
         workers: 0,
+        relayed_frames: 0,
         wall: Duration::from_millis(1),
     };
     assert!(

@@ -40,6 +40,11 @@ pub struct DistribOutcome {
     pub worker_died: bool,
     /// A checkpoint file was written for this pause.
     pub checkpoint_written: bool,
+    /// Frame records the coordinator forwarded to workers, summed over
+    /// links (the probe invariant's `r_out`): the root or resume seed
+    /// plus everything relayed between shards. Counted here, not on the
+    /// wire.
+    pub relayed_frames: u64,
 }
 
 /// Coordinator-side configuration.
@@ -677,6 +682,7 @@ impl Coordinator {
             outcomes: Outcomes { finals, stats },
             worker_died: self.died,
             checkpoint_written,
+            relayed_frames: self.links.iter().map(|l| l.r_out).sum(),
         }
     }
 }

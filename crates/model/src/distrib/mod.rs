@@ -55,6 +55,52 @@
 //! engines', the same argument (and the same differential tests) as for
 //! the work-stealing engine.
 //!
+//! ### Dedup before codec
+//!
+//! A state has several predecessors (3.7 fired transitions per distinct
+//! state on `mid8`), so most successors that cross a shard boundary are
+//! ones the owner has already seen. Encoding, relaying and decoding such
+//! a frame only to have the owner's visited set reject it is the bulk
+//! of the engine's overhead, so admission is asked *before* the codec
+//! runs, on both ends of a link:
+//!
+//! - **Sender.** A worker keeps a fixed-size direct-mapped table of the
+//!   remote digests it has already routed (2^16 slots, 512 KiB, indexed
+//!   by the low digest bits because [`shard_of`] spends the top ones; a
+//!   constant, so memory stays bounded under any
+//!   `max_resident_states`). A successor whose digest is in the table
+//!   is dropped before it is encoded. A hit is an exact 64-bit compare,
+//!   so the table never claims a digest it was not given — a collision
+//!   evicts, and the evicted digest is simply sent again. This is sound
+//!   because unreduced admission is by digest alone (also under a
+//!   context bound: the switch count rides in the frame but admission
+//!   never reads it) and a shard's visited set only grows while its
+//!   fleet lives: the first send
+//!   reached the owner (or is still in the outbox, the relay or the
+//!   owner's socket, all of which the termination wave and the
+//!   checkpoint account for), so the owner would reject every later
+//!   copy — the table drops exactly what the owner would drop, and
+//!   counts and finals are unchanged.
+//! - **Receiver.** A frame record leads with its digest and the record
+//!   body leads with the search metadata, so the owner parses that
+//!   prefix, asks its visited set ([`crate::oracle`]'s
+//!   `DfsFrontier::admit_key`, the same admission every depth-first
+//!   engine ends in), and decodes the state bytes — most of what a
+//!   frame costs the codec — only when the answer is yes. A
+//!   rejected record still counts as `received`: the probe invariant
+//!   below compares frames, not admissions. An *admitted* record whose
+//!   state then fails to decode ends the run truncated (`corrupt wire
+//!   frame`); skipping the decode of records that would have been
+//!   discarded anyway cannot shrink the state space.
+//! - **Reduced mode bypasses the sender table.** Under
+//!   [`crate::types::ModelParams::sleep_sets`] admission also reads the
+//!   arrival's sleep set, and a re-arrival with a smaller one must
+//!   reach the owner (it wakes transitions the first visit slept on),
+//!   so a reduced worker sends every remote successor. The receiver
+//!   side needs no exception: the sleep set is in the metadata prefix.
+//!   Which path runs follows from the job's parameters, not from a
+//!   switch.
+//!
 //! ## Termination wave
 //!
 //! The pending-count detector generalises to messages: the coordinator
@@ -77,6 +123,20 @@
 //! still relaying and writes one atomic (tmp+rename) checkpoint file.
 //! Resume seeds any number of workers — the dump is flat, so the shard
 //! count may change — and continues to byte-identical finals/counts.
+//!
+//! The sender tables are not part of a checkpoint and do not need to
+//! be. Every pause and every death tears the *whole* fleet down, and a
+//! table lives and dies with one [`run_worker`] call — a resumed run
+//! starts new workers with empty tables, also inside a long-lived
+//! `--connect` process — so a table never outlives the visited sets it
+//! summarises. Nothing a table
+//! suppressed is missing from the dump either: a suppressed successor
+//! is by construction one whose first copy was already handed on, and
+//! that copy is in the owner's visited set, in an unflushed outbox (→
+//! the worker dump's `pending` list), or was a `Route` caught after the
+//! stop (→ the coordinator's orphans). The relay journal likewise still
+//! sees every distinct state bound for a shard at least once, which is
+//! all the death-recovery argument below uses.
 //!
 //! If a worker *dies* (socket EOF, a sequence gap, or dead-peer timeout
 //! before its Result), the run degrades gracefully: remaining workers

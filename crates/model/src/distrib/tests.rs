@@ -3,12 +3,18 @@ use super::msg::{
     WorkerResult, MAX_BLOB,
 };
 use super::probe::{ProbeTracker, ProbeVerdict, PROBE_PACE, PROBE_PACE_CAP};
-use super::{decode_params, encode_params, shard_of};
-use crate::oracle::ExplorationStats;
+use super::worker::{SentTable, SENT_SLOTS};
+use super::{decode_params, encode_params, run_worker, shard_of, WorkerEnv};
+use crate::net::{Conn, NetParams};
+use crate::oracle::{ExplorationStats, Frame};
+use crate::state_codec::CodecCtx;
+use crate::store::{decode_frame_meta, encode_frame};
+use crate::tests::sb_system;
 use crate::types::ModelParams;
 use ppc_bits::framed::{Receiver, Sender};
-use ppc_bits::{Reader, Writer};
-use std::collections::BTreeSet;
+use ppc_bits::{Prng, Reader, Writer};
+use std::collections::{BTreeSet, HashSet};
+use std::os::unix::net::UnixStream;
 
 /// Prefix routing must cover `0..n` and be monotone in the digest.
 #[test]
@@ -285,4 +291,238 @@ fn params_codec_round_trips() {
     let bytes = w.into_bytes();
     let back = decode_params(&mut Reader::new(&bytes)).expect("decode");
     assert_eq!(back, p);
+}
+
+/// The sent-table against a `HashSet` model of everything ever given to
+/// it, on a table small enough that most inserts evict: it may forget
+/// (a re-send), it must never claim a digest it was not given (a state
+/// silently lost), and digest 0 — the empty-slot marker — is never
+/// claimed at all.
+#[test]
+fn sent_table_forgets_but_never_invents() {
+    let mut rng = Prng::seed_from_u64(0x5E27_7AB1_E000_0001);
+    let mut table = SentTable::new(16);
+    let mut given: HashSet<u64> = HashSet::new();
+    // A pool of 64 digests over 16 slots: repeats and collisions both
+    // happen constantly. Digest 0 is in the pool.
+    let pool: Vec<u64> = (0..64u64)
+        .map(|i| if i == 0 { 0 } else { rng.next_u64() })
+        .collect();
+    let (mut claimed, mut forgotten) = (0u32, 0u32);
+    for _ in 0..10_000 {
+        let d = pool[rng.gen_range(0..pool.len())];
+        let seen = table.check_and_insert(d);
+        if seen {
+            assert!(given.contains(&d), "claimed never-sent digest {d:#x}");
+            assert_ne!(d, 0, "digest 0 is indistinguishable from an empty slot");
+            claimed += 1;
+        } else if !given.insert(d) {
+            forgotten += 1;
+        }
+    }
+    assert!(claimed > 0, "an un-evicted digest is remembered");
+    assert!(forgotten > 0, "the run exercised eviction");
+
+    // The eviction case spelled out: two digests sharing a slot.
+    let mut table = SentTable::new(16);
+    let (a, b) = (0xA0, 0xB0);
+    assert!(!table.check_and_insert(a), "first sight of a");
+    assert!(table.check_and_insert(a), "a remembered");
+    assert!(!table.check_and_insert(b), "first sight of b, evicting a");
+    assert!(
+        !table.check_and_insert(a),
+        "a was forgotten: it is sent again"
+    );
+    assert!(!table.check_and_insert(0) && !table.check_and_insert(0));
+}
+
+/// The coordinator's end of one worker link, driven by hand: a
+/// [`run_worker`] thread on the other end of a socket pair, exploring SB
+/// as the shard that owns the root.
+struct ScriptedLink {
+    sock: UnixStream,
+    tx: Sender,
+    rx: Receiver,
+    worker: std::thread::JoinHandle<std::io::Result<()>>,
+    /// The root frame's record.
+    root: FrameRecord,
+    /// Every digest the worker has routed so far, in order.
+    routed: Vec<u64>,
+    probes: u64,
+}
+
+impl ScriptedLink {
+    fn start() -> ScriptedLink {
+        let initial = sb_system();
+        let ctx = CodecCtx::new(initial.program.clone(), initial.params.clone());
+        let root = FrameRecord {
+            digest: initial.digest(),
+            bytes: encode_frame(&ctx, &Frame::root(initial.clone())),
+        };
+        let shard = shard_of(root.digest, 2);
+        let (ours, theirs) = UnixStream::pair().expect("socket pair");
+        let worker = std::thread::spawn(move || {
+            let env = WorkerEnv {
+                shard,
+                n_shards: 2,
+                initial: &initial,
+                reg_obs: &[],
+                mem_obs: &[],
+            };
+            run_worker(Conn::Unix(theirs), &env, &NetParams::default())
+        });
+        let mut link = ScriptedLink {
+            sock: ours,
+            tx: Sender::new(MAX_BLOB),
+            rx: Receiver::new(MAX_BLOB),
+            worker,
+            root: root.clone(),
+            routed: Vec::new(),
+            probes: 0,
+        };
+        link.send(&Msg::Batch {
+            preadmitted: false,
+            frames: vec![root],
+        });
+        link
+    }
+
+    fn send(&mut self, msg: &Msg) {
+        send_msg(&mut self.tx, &mut self.sock, msg).expect("send to worker");
+    }
+
+    /// The worker's next message that is not a keepalive or a progress
+    /// beat; Route frames are logged on the way.
+    fn next(&mut self) -> Msg {
+        loop {
+            match recv_msg(&mut self.rx, &mut self.sock).expect("worker link") {
+                Msg::Heartbeat | Msg::Beat { .. } => {}
+                Msg::Route { dest, frames } => {
+                    assert_ne!(dest, shard_of(self.root.digest, 2), "routed to itself");
+                    self.routed.extend(frames.iter().map(|f| f.digest));
+                }
+                other => return other,
+            }
+        }
+    }
+
+    /// Probe until the worker reports idle; `(received, expanded)`.
+    fn settle(&mut self) -> (u64, u64) {
+        loop {
+            self.probes += 1;
+            let round = self.probes;
+            self.send(&Msg::Probe { round });
+            match self.next() {
+                Msg::ProbeReply {
+                    round: r,
+                    idle,
+                    received,
+                    expanded,
+                } => {
+                    assert_eq!(r, round);
+                    if idle {
+                        return (received, expanded);
+                    }
+                }
+                other => panic!("expected a probe reply, got {other:?}"),
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// Send `last`, take the worker's Result, and join it.
+    fn finish(mut self, last: &Msg) -> WorkerResult {
+        self.send(last);
+        let Msg::Result(res) = self.next() else {
+            panic!("expected the worker's Result");
+        };
+        self.worker
+            .join()
+            .expect("worker thread")
+            .expect("worker exits cleanly");
+        *res
+    }
+}
+
+/// Dedup before codec, seen from the coordinator's chair: one worker
+/// never routes a digest twice, and a record whose digest the shard has
+/// already visited is dropped before its state bytes are looked at —
+/// not expanded again, not even decoded — while still counting as
+/// received, which is what the termination probe compares.
+#[test]
+fn worker_routes_each_digest_once_and_rejects_before_decoding() {
+    let mut link = ScriptedLink::start();
+    let (received, expanded) = link.settle();
+    assert_eq!(received, 1, "the root");
+    assert!(expanded > 1, "the root's shard-local subtree was explored");
+    assert!(
+        link.routed.len() > 10,
+        "SB crosses shards: {:?}",
+        link.routed
+    );
+    // Replayed through a fresh table, the Route stream never hits: the
+    // worker routed nothing its table still remembered. On SB no
+    // eviction is followed by the evicted digest, so no digest repeats.
+    let mut replay = SentTable::new(SENT_SLOTS);
+    assert!(link.routed.iter().all(|&d| !replay.check_and_insert(d)));
+    let distinct: HashSet<u64> = link.routed.iter().copied().collect();
+    assert_eq!(
+        distinct.len(),
+        link.routed.len(),
+        "a digest was routed twice by one worker"
+    );
+
+    // The root again, verbatim, and once more with its state bytes
+    // scrambled behind an intact prefix: both carry a visited digest.
+    let mut scrambled = link.root.clone();
+    let (_, state) = decode_frame_meta(&scrambled.bytes).expect("root prefix");
+    let prefix = scrambled.bytes.len() - state.len();
+    scrambled.bytes[prefix..].iter_mut().for_each(|b| *b = !*b);
+    let frames = vec![link.root.clone(), scrambled];
+    link.send(&Msg::Batch {
+        preadmitted: false,
+        frames,
+    });
+    assert_eq!(
+        link.settle(),
+        (3, expanded),
+        "rejected records count as received and expand nothing"
+    );
+    let routed = link.routed.len();
+    let res = link.finish(&Msg::Finish);
+    assert!(!res.stats.truncated, "{:?}", res.stats.store_error);
+    assert_eq!(res.stats.states as u64, expanded);
+    assert_eq!(
+        routed,
+        distinct.len(),
+        "nothing was routed after the replay"
+    );
+}
+
+/// Admission before decode must not turn corruption into a smaller
+/// state space: a record with a *fresh* digest is admitted, and when its
+/// state bytes (or its prefix) then fail to decode the worker ends the
+/// run truncated, naming the corrupt frame.
+#[test]
+fn corrupt_record_with_a_fresh_digest_truncates_the_run() {
+    for scramble_prefix in [false, true] {
+        let mut link = ScriptedLink::start();
+        link.settle();
+        let mut bad = link.root.clone();
+        bad.digest ^= 1;
+        let (_, state) = decode_frame_meta(&bad.bytes).expect("root prefix");
+        let from = if scramble_prefix {
+            0
+        } else {
+            bad.bytes.len() - state.len()
+        };
+        bad.bytes[from..].iter_mut().for_each(|b| *b = !*b);
+        let res = link.finish(&Msg::Batch {
+            preadmitted: false,
+            frames: vec![bad],
+        });
+        assert!(res.stats.truncated, "corruption must never be conclusive");
+        let why = res.stats.store_error.expect("store_error set");
+        assert!(why.contains("corrupt wire frame"), "{why}");
+    }
 }

@@ -2,6 +2,13 @@
 //! `DfsFrontier` the sequential oracle drives — plus routing: successors
 //! owned by another shard leave through the outbox instead of entering
 //! the local frontier, and frames owned by this one arrive as messages.
+//!
+//! Admission sits in front of the codec on both ends of the link (the
+//! soundness argument is in the [module docs](super), *Dedup before
+//! codec*): a successor whose digest this worker already routed is not
+//! encoded again ([`SentTable`]), and a received record is offered to
+//! the visited set on its digest and metadata prefix before its state
+//! bytes are decoded.
 
 use super::msg::{
     encode_msg, send_msg, spawn_reader, FrameRecord, Msg, VisitedEntry, WorkerDump, WorkerResult,
@@ -11,7 +18,7 @@ use super::{shard_of, ROUTE_BATCH};
 use crate::net::{Conn, FaultAction, FaultPlan, NetParams, SendKind};
 use crate::oracle::{expand, DfsFrontier, ExplorationStats, FinalState, Frame};
 use crate::state_codec::CodecCtx;
-use crate::store::{decode_frame, encode_frame, StoreError};
+use crate::store::{decode_frame_meta, encode_frame, StoreError};
 use crate::system::{SystemState, Transition};
 use crate::types::ThreadId;
 use ppc_bits::framed::Sender;
@@ -24,6 +31,42 @@ use std::time::{Duration, Instant};
 /// Expansions between worker Beat messages (the coordinator's view of
 /// budget progress is at most this stale per worker).
 const BEAT_PERIOD: u64 = 128;
+
+/// Slots in a worker's [`SentTable`]: 2^16 digests, 512 KiB. A constant,
+/// not a knob — a smaller table only re-sends more.
+pub(super) const SENT_SLOTS: usize = 1 << 16;
+
+/// The remote digests a worker has already routed: a fixed-size
+/// direct-mapped table, one 64-bit digest per slot, indexed by the *low*
+/// digest bits ([`shard_of`] spends the top 16, so the digests bound for
+/// one owner still spread over every slot). A hit is an exact compare,
+/// so the table never claims a digest it was not given; a colliding
+/// digest evicts the slot's previous one, which is then merely sent
+/// again. Memory is constant however large the state space grows.
+pub(super) struct SentTable {
+    /// `0` marks an empty slot. A digest that *is* 0 is therefore never
+    /// remembered — it is re-sent every time, which is harmless.
+    slots: Box<[u64]>,
+}
+
+impl SentTable {
+    pub(super) fn new(slots: usize) -> Self {
+        assert!(slots.is_power_of_two(), "slot index is a bit mask");
+        SentTable {
+            slots: vec![0; slots].into_boxed_slice(),
+        }
+    }
+
+    /// Whether `digest` is remembered as sent; remembers it if not.
+    pub(super) fn check_and_insert(&mut self, digest: u64) -> bool {
+        let slot = &mut self.slots[(digest as usize) & (self.slots.len() - 1)];
+        if *slot == digest {
+            return digest != 0;
+        }
+        *slot = digest;
+        false
+    }
+}
 
 /// What a worker process needs beyond its socket: its shard identity
 /// and the (locally rebuilt) system the frames belong to.
@@ -60,6 +103,11 @@ struct Worker<'a> {
     ctx: CodecCtx,
     frontier: DfsFrontier,
     outbox: Vec<Vec<FrameRecord>>,
+    /// Digests already routed to their owners, consulted before the
+    /// encode. `None` in reduced mode: there the owner's admission also
+    /// reads the arrival's sleep set, and a re-arrival with a smaller
+    /// one must reach it.
+    sent: Option<SentTable>,
     finals: BTreeSet<FinalState>,
     stats: ExplorationStats,
     scratch: Vec<Transition>,
@@ -87,6 +135,7 @@ impl<'a> Worker<'a> {
             ctx: CodecCtx::new(env.initial.program.clone(), params.clone()),
             frontier: DfsFrontier::new(env.initial),
             outbox: (0..env.n_shards).map(|_| Vec::new()).collect(),
+            sent: (!params.sleep_sets).then(|| SentTable::new(SENT_SLOTS)),
             finals: BTreeSet::new(),
             stats: ExplorationStats::default(),
             scratch: Vec::new(),
@@ -269,30 +318,41 @@ impl<'a> Worker<'a> {
                         preadmitted,
                         frames,
                     } => {
+                        // Every record counts as received, admitted or
+                        // not: the probe compares this with what the
+                        // coordinator forwarded.
                         self.received += frames.len() as u64;
                         for rec in frames {
-                            let mut frame = match decode_frame(&self.ctx, &rec.bytes) {
-                                Ok(f) => f,
-                                Err(e) => {
-                                    return self.finish_failed(&format!("corrupt wire frame: {e}"));
+                            let corrupt = |e| format!("corrupt wire frame: {e}");
+                            let (mut meta, state_bytes) = match decode_frame_meta(&rec.bytes) {
+                                Ok(parts) => parts,
+                                Err(e) => return self.finish_failed(&corrupt(e)),
+                            };
+                            // Admission needs only the digest and the
+                            // prefix, so a record the visited set
+                            // rejects is dropped undecoded. A checkpoint
+                            // frontier frame was admitted before the
+                            // pause (its digest is in the seeded visited
+                            // set), so admission would wrongly reject it.
+                            if !preadmitted {
+                                match self.frontier.admit_key(rec.digest, &meta.sleep) {
+                                    Ok(Some(wake)) => meta.wake = wake,
+                                    Ok(None) => continue,
+                                    Err(e) => return self.finish_failed(&e.to_string()),
                                 }
+                            }
+                            // An admitted digest whose state does not
+                            // decode would be a hole in the state space:
+                            // the run ends truncated.
+                            let state = match self.ctx.decode(state_bytes) {
+                                Ok(s) => s,
+                                Err(e) => return self.finish_failed(&corrupt(e)),
                             };
                             // The sender computed the digest; it is
                             // rebuild-stable, so seed the cache instead
                             // of re-hashing.
-                            frame.state.digest.seed(rec.digest);
-                            // A checkpoint frontier frame was admitted
-                            // before the pause (its digest is in the
-                            // seeded visited set), so admission would
-                            // wrongly reject it.
-                            let admitted = preadmitted
-                                || match self.frontier.admit(&mut frame) {
-                                    Ok(a) => a,
-                                    Err(e) => return self.finish_failed(&e.to_string()),
-                                };
-                            if admitted {
-                                self.frontier.push(frame);
-                            }
+                            state.digest.seed(rec.digest);
+                            self.frontier.push(meta.into_frame(state));
                         }
                     }
                     Msg::SeedVisited { entries } => {
@@ -381,13 +441,20 @@ impl<'a> Worker<'a> {
             } else {
                 self.stats.transitions += exp.transitions;
                 for mut next in exp.succs {
-                    let owner = shard_of(next.state.digest(), self.env.n_shards);
+                    let digest = next.state.digest();
+                    let owner = shard_of(digest, self.env.n_shards);
                     if owner == self.env.shard {
                         match self.frontier.admit(&mut next) {
                             Ok(true) => self.frontier.push(next),
                             Ok(false) => {}
                             Err(e) => return self.finish_failed(&e.to_string()),
                         }
+                    } else if self
+                        .sent
+                        .as_mut()
+                        .is_some_and(|sent| sent.check_and_insert(digest))
+                    {
+                        // Already routed: the owner has it, or will.
                     } else {
                         let rec = self.record(&next);
                         self.outbox[owner].push(rec);

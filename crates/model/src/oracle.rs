@@ -458,14 +458,16 @@ fn reduced_admit(map: &mut SleepMap, digest: u64, sleep: &[Transition]) -> Optio
     }
 }
 
-/// [`reduced_admit`] for a frame: an admitted frame takes the visit's
-/// wake-up restriction with it.
-fn admit_reduced(map: &mut SleepMap, frame: &mut Frame) -> bool {
-    match reduced_admit(map, frame.state.digest(), &frame.sleep) {
-        None => false,
-        Some(wake) => {
-            frame.wake = wake;
-            true
+impl Frame {
+    /// Take an admission verdict (`None` = pruned): an admitted frame
+    /// carries the visit's wake-up restriction with it.
+    fn take_verdict(&mut self, verdict: Option<Vec<Transition>>) -> bool {
+        match verdict {
+            None => false,
+            Some(wake) => {
+                self.wake = wake;
+                true
+            }
         }
     }
 }
@@ -535,15 +537,29 @@ impl DfsFrontier {
         }
     }
 
-    /// Decide whether `frame` enters the search: the visited-set
-    /// insertion in unreduced mode, [`reduced_admit`] in reduced mode
-    /// (possibly restricting the frame to a wake-up list on a
-    /// re-visit). The caller [`DfsFrontier::push`]es an admitted frame.
-    pub(crate) fn admit(&mut self, frame: &mut Frame) -> Result<bool, StoreError> {
+    /// Decide whether a state enters the search, from its admission key
+    /// alone: the visited-set insertion on `digest` in unreduced mode
+    /// (`sleep` is ignored), [`reduced_admit`] on `digest` and the
+    /// arrival's `sleep` set in reduced mode. `None` prunes; `Some(wake)`
+    /// admits, restricted to the wake-up list on a reduced re-visit
+    /// (always empty unreduced). Needing no decoded state, this is what
+    /// a distributed worker asks *before* it decodes a received frame.
+    pub(crate) fn admit_key(
+        &mut self,
+        digest: u64,
+        sleep: &[Transition],
+    ) -> Result<Option<Vec<Transition>>, StoreError> {
         match &mut self.sleep_map {
-            None => self.store.insert_visited(frame.state.digest()),
-            Some(map) => Ok(admit_reduced(map, frame)),
+            None => Ok(self.store.insert_visited(digest)?.then(Vec::new)),
+            Some(map) => Ok(reduced_admit(map, digest, sleep)),
         }
+    }
+
+    /// [`DfsFrontier::admit_key`] for a frame in hand. The caller
+    /// [`DfsFrontier::push`]es an admitted frame.
+    pub(crate) fn admit(&mut self, frame: &mut Frame) -> Result<bool, StoreError> {
+        let verdict = self.admit_key(frame.state.digest(), &frame.sleep)?;
+        Ok(frame.take_verdict(verdict))
     }
 
     /// Put an admitted frame on top of the stack.
@@ -793,7 +809,8 @@ impl StealPool<'_> {
                 let mut map = shards[(digest & (shards.len() as u64 - 1)) as usize]
                     .lock()
                     .expect("sleep shard poisoned");
-                Ok(admit_reduced(&mut map, frame))
+                let verdict = reduced_admit(&mut map, digest, &frame.sleep);
+                Ok(frame.take_verdict(verdict))
             }
         }
     }

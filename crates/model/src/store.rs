@@ -48,7 +48,7 @@
 
 use crate::oracle::{Actor, Frame};
 use crate::state_codec::{decode_transition, encode_transition, CodecCtx};
-use crate::system::{Program, Transition};
+use crate::system::{Program, SystemState, Transition};
 use crate::types::ModelParams;
 use ppc_bits::{framed, DecodeError, Reader, SortedRun, Writer};
 use std::collections::HashSet;
@@ -537,10 +537,35 @@ pub(crate) fn encode_frame(ctx: &CodecCtx, f: &Frame) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Inverse of [`encode_frame`]. The decoded state's digest cache is
-/// *not* seeded here — callers carrying a recorded digest seed it
-/// themselves.
-pub(crate) fn decode_frame(ctx: &CodecCtx, bytes: &[u8]) -> Result<Frame, DecodeError> {
+/// The metadata prefix of a frame record: everything [`encode_frame`]
+/// writes ahead of the canonical state bytes. It is all an admission
+/// decision needs beside the digest, so a receiver
+/// ([`crate::distrib`]'s worker) parses this much, asks its visited set,
+/// and decodes the state — the expensive part — only for a frame that
+/// will be expanded.
+pub(crate) struct FrameMeta {
+    pub(crate) sleep: Vec<Transition>,
+    pub(crate) wake: Vec<Transition>,
+    last_actor: Actor,
+    switches: u32,
+}
+
+impl FrameMeta {
+    /// The frame this prefix and its decoded state make.
+    pub(crate) fn into_frame(self, state: SystemState) -> Frame {
+        Frame {
+            state,
+            sleep: self.sleep,
+            wake: self.wake,
+            last_actor: self.last_actor,
+            switches: self.switches,
+        }
+    }
+}
+
+/// Parse a frame record's metadata prefix; the second half of the pair
+/// is the canonical state bytes that follow it, undecoded.
+pub(crate) fn decode_frame_meta(bytes: &[u8]) -> Result<(FrameMeta, &[u8]), DecodeError> {
     let mut r = Reader::new(bytes);
     let switches =
         u32::try_from(r.u64v()?).map_err(|_| DecodeError::Invalid("switch count range"))?;
@@ -558,14 +583,21 @@ pub(crate) fn decode_frame(ctx: &CodecCtx, bytes: &[u8]) -> Result<Frame, Decode
     for _ in 0..r.usizev()? {
         wake.push(decode_transition(&mut r)?);
     }
-    let state = ctx.decode(r.bytes(r.remaining())?)?;
-    Ok(Frame {
-        state,
+    let meta = FrameMeta {
         sleep,
         wake,
         last_actor,
         switches,
-    })
+    };
+    Ok((meta, r.bytes(r.remaining())?))
+}
+
+/// Inverse of [`encode_frame`]. The decoded state's digest cache is
+/// *not* seeded here — callers carrying a recorded digest seed it
+/// themselves.
+pub(crate) fn decode_frame(ctx: &CodecCtx, bytes: &[u8]) -> Result<Frame, DecodeError> {
+    let (meta, state) = decode_frame_meta(bytes)?;
+    Ok(meta.into_frame(ctx.decode(state)?))
 }
 
 /// Finalize an open segment: flush and convert to a readable [`Segment`].

@@ -539,18 +539,22 @@ fn mp_lwsync_addr_forbidden() {
     );
 }
 
-/// SB (store buffering): both reads of the other location may see 0 —
-/// Allowed.
-#[test]
-fn sb_allowed() {
-    let s = sys(
+/// The SB (store buffering) system under default parameters.
+pub(crate) fn sb_system() -> SystemState {
+    sys(
         &[
             (&["stw r7,0(r1)", "lwz r5,0(r2)"], &[(1, X), (2, Y), (7, 1)]),
             (&["stw r7,0(r2)", "lwz r6,0(r1)"], &[(1, X), (2, Y), (7, 1)]),
         ],
         &[],
         ModelParams::default(),
-    );
+    )
+}
+
+/// SB: both reads of the other location may see 0 — Allowed.
+#[test]
+fn sb_allowed() {
+    let s = sb_system();
     let outs = reg_outcomes(&s, &[(0, 5), (1, 6)]);
     assert!(observed(&outs, &[((0, 5), 0), ((1, 6), 0)]));
 }

@@ -37,8 +37,11 @@
 mod common;
 
 use common::{env_u64, gen_program};
-use ppcmem::litmus::distrib::{outcomes_distributed, run_source_distributed, DistribConfig};
+use ppcmem::litmus::distrib::{
+    explore_distributed, outcomes_distributed, run_source_distributed, DistribConfig,
+};
 use ppcmem::litmus::{build_system, library, observations, parse};
+use ppcmem::model::distrib::{load_checkpoint, DistribOutcome};
 use ppcmem::model::net::FAULT_ENV;
 use ppcmem::model::{explore_limited, ExploreLimits, ModelParams, Outcomes};
 
@@ -110,6 +113,18 @@ fn assert_identical(name: &str, mode: &str, reference: &Outcomes, got: &Outcomes
     );
 }
 
+/// A distributed run with the coordinator's own counters still attached
+/// (`outcomes_distributed` keeps only the merged [`Outcomes`]).
+fn explore_with_counters(
+    source: &str,
+    params: &ModelParams,
+    limits: &ExploreLimits,
+    cfg: &DistribConfig,
+) -> DistribOutcome {
+    let test = parse(source).expect("source parses");
+    explore_distributed(source, &test, params, limits, cfg).expect("distributed setup")
+}
+
 fn library_source(name: &str) -> &'static str {
     library()
         .into_iter()
@@ -132,6 +147,32 @@ fn distributed_matches_sequential_on_ladder() {
             let got = outcomes_distributed(source, &params, &limits, &dcfg(workers));
             assert_identical(name, &format!("dist-{workers}"), &reference, &got);
         }
+    }
+}
+
+/// Dedup before codec, end to end: a worker encodes a remote digest
+/// once, so what the coordinator relays is bounded by *distinct states*
+/// — each can be routed by at most the `n − 1` workers that do not own
+/// it, plus the root — not by fired transitions (SB fires 3 per state,
+/// and about `(n − 1) / n` of them cross shards). The bound has slack
+/// for the table's rare evictions: a state none of whose predecessors
+/// lives on another shard is never routed at all.
+#[test]
+fn relayed_frames_are_bounded_by_distinct_states() {
+    let source = library_source("SB");
+    let params = ModelParams::default();
+    let limits = ExploreLimits::default();
+    let reference = sequential_reference(source, &params, &limits);
+    for workers in [2usize, 3] {
+        let got = explore_with_counters(source, &params, &limits, &dcfg(workers));
+        assert_identical("SB", &format!("dist-{workers}"), &reference, &got.outcomes);
+        let bound = (workers - 1) * reference.stats.states + 1;
+        assert!(
+            got.relayed_frames >= 1 && got.relayed_frames <= bound as u64,
+            "dist-{workers}: {} frames relayed for {} states (bound {bound})",
+            got.relayed_frames,
+            reference.stats.states
+        );
     }
 }
 
@@ -291,24 +332,39 @@ fn checkpoint_pause_resume_is_byte_identical() {
     let mut cfg = dcfg(2);
     cfg.checkpoint = Some(tmp.clone());
 
-    // Phase 1: a state budget far below MP's space forces a graceful
-    // pause. The paused result is truncated (inconclusive) and the
-    // frontier+visited dump lands in the checkpoint.
-    let paused = outcomes_distributed(
+    // Phase 1: a state budget below MP's space forces a graceful pause
+    // — far enough in that the workers' sent-tables have been
+    // suppressing re-sends for a while. The paused result is truncated
+    // (inconclusive) and the frontier+visited dump lands in the
+    // checkpoint.
+    let paused = explore_with_counters(
         source,
         &params,
         &ExploreLimits {
-            max_states: 200,
+            max_states: 500,
             ..ExploreLimits::default()
         },
         &cfg,
     );
+    let relayed = paused.relayed_frames;
+    let paused = paused.outcomes;
     assert!(paused.stats.truncated, "budget pause must truncate");
     assert!(
         paused.stats.states < reference.stats.states,
         "pause must stop before exhaustion"
     );
     assert!(tmp.exists(), "graceful pause must write the checkpoint");
+    // With two uniform shards half the fired transitions cross. Every
+    // crossing one was either encoded — relayed, or caught by the stop
+    // and parked in the checkpoint's pending list — or suppressed, so
+    // well under half means the stop landed after suppressed sends. The
+    // checkpoint must be complete regardless: phase 2 checks that.
+    let sent = relayed as usize + load_checkpoint(&tmp).expect("checkpoint").pending.len();
+    assert!(
+        sent * 5 < paused.stats.transitions * 2,
+        "{sent} records encoded for {} fired transitions: nothing was suppressed before the pause",
+        paused.stats.transitions
+    );
 
     // Phase 2: resume with the full budget — on a different shard
     // count, since the checkpoint format is resharding-agnostic.
