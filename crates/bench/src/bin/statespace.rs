@@ -23,6 +23,12 @@
 //! cross-checked against the sequential engine under the same rules;
 //! each row then ends with the frame records the coordinator relayed
 //! (the engine's codec-and-socket traffic, to set against `states`).
+//! Under `--max-resident N` the run ends with one `codec memo:` line —
+//! the canonical codec's component-memo counters
+//! (`ppc_model::MemoStats`), summed over the spill stores of every
+//! exploration this process ran. A `--distributed N` column adds
+//! nothing to it: its memos live in the worker processes, and nothing
+//! about them travels in a message.
 //! `--checkpoint PATH` makes each distributed exploration resumable:
 //! a budget/deadline pause writes `PATH.<test>`, and a rerun picks up
 //! where it stopped (the file is deleted on completion).
@@ -49,7 +55,7 @@ use bench::args::{arg_value, check_flags, parse_arg, parse_nonzero_arg};
 use ppc_litmus::distrib::{run_source_distributed, DistribConfig, WorkerLaunch};
 use ppc_litmus::harness::{HarnessConfig, Job};
 use ppc_litmus::{library, parse, run_limited};
-use ppc_model::{resolve_threads, run_sequential, ExploreLimits, ModelParams};
+use ppc_model::{resolve_threads, run_sequential, ExploreLimits, MemoStats, ModelParams};
 use ppc_service::{Budget, Oracle};
 use std::time::Instant;
 
@@ -202,6 +208,7 @@ fn main() {
         if distributed != 0 { "   relayed" } else { "" }
     );
     println!("{rule}");
+    let mut codec_memo = MemoStats::default();
     for name in LADDER {
         let Some(e) = library().into_iter().find(|e| e.name == *name) else {
             continue;
@@ -228,6 +235,7 @@ fn main() {
             )
         } else {
             let r1 = run_limited(&test, &params, &seq);
+            codec_memo += r1.codec_memo;
             (
                 (
                     r1.finals,
@@ -258,6 +266,7 @@ fn main() {
             run_limited(&test, &params, &par)
         };
         let dtn = t0.elapsed().as_secs_f64();
+        codec_memo += rn.codec_memo;
         if context_bound != 0 {
             // Bounded exploration is order-dependent (which path first
             // reaches a state fixes its switch budget), so the engines
@@ -328,4 +337,7 @@ exists (0:r6=2)
         "shape check (paper §8): sequential runs are orders of magnitude \
          cheaper than exhaustive concurrent exploration of the same-size programs"
     );
+    if max_resident != 0 {
+        println!("codec memo (this process's spill stores): {codec_memo}");
+    }
 }

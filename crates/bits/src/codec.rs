@@ -58,10 +58,25 @@ impl Writer {
         Writer::default()
     }
 
+    /// An empty writer with room for `cap` bytes (a size hint, e.g. the
+    /// previous record's length; the output is the same at any value).
+    #[must_use]
+    pub fn with_capacity(cap: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(cap),
+        }
+    }
+
     /// Consume the writer, yielding the encoded bytes.
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// The bytes written so far.
+    #[must_use]
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
     }
 
     /// The number of bytes written so far.
@@ -177,6 +192,12 @@ impl<'a> Reader<'a> {
     #[must_use]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// The unread bytes (nothing is consumed).
+    #[must_use]
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 
     /// Read one raw byte.

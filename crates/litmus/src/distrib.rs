@@ -43,7 +43,9 @@ use ppc_model::distrib::{
 };
 use ppc_model::net::{Conn, Listener, NetParams};
 use ppc_model::store::create_unique_temp_dir;
-use ppc_model::{CodecCtx, ExplorationStats, ExploreLimits, Frame, ModelParams, Outcomes};
+use ppc_model::{
+    CodecCtx, ExplorationStats, ExploreLimits, Frame, MemoStats, ModelParams, Outcomes,
+};
 use std::io;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -487,6 +489,7 @@ pub fn run_source_distributed(
                 ..ExplorationStats::default()
             },
             relayed_frames: 0,
+            codec_memo: MemoStats::default(),
         },
     }
 }
@@ -544,6 +547,7 @@ pub fn outcomes_distributed(
                 store_error: Some(format!("distributed setup failed: {e}")),
                 ..ExplorationStats::default()
             },
+            codec_memo: MemoStats::default(),
         },
     }
 }

@@ -34,6 +34,10 @@ pub struct RunResult {
     /// ([`ppc_model::distrib::DistribOutcome::relayed_frames`]); `0` for
     /// the in-process engines.
     pub relayed_frames: u64,
+    /// [`ppc_model::Outcomes::codec_memo`]: the spill store's codec
+    /// memo counters (zero unless this process spilled). It stops here:
+    /// no [`crate::harness::TestReport`] field or JSONL key carries it.
+    pub codec_memo: ppc_model::MemoStats,
 }
 
 /// Build the initial [`SystemState`] for a test.
@@ -135,6 +139,7 @@ pub(crate) fn result_from_outcomes(test: &LitmusTest, out: &ppc_model::Outcomes)
         holds,
         stats: out.stats.clone(),
         relayed_frames: 0,
+        codec_memo: out.codec_memo,
     }
 }
 

@@ -12,7 +12,7 @@ use super::probe::{ProbeTracker, ProbeVerdict};
 use super::{shard_of, ROUTE_BATCH};
 use crate::net::{Conn, NetParams};
 use crate::oracle::{ExplorationStats, ExploreLimits, FinalState, Frame, Outcomes};
-use crate::state_codec::CodecCtx;
+use crate::state_codec::{CodecCtx, MemoStats};
 use crate::store::encode_frame;
 use ppc_bits::framed::{self, Sender};
 use ppc_bits::{Reader, Writer};
@@ -679,7 +679,12 @@ impl Coordinator {
         }
 
         DistribOutcome {
-            outcomes: Outcomes { finals, stats },
+            outcomes: Outcomes {
+                finals,
+                stats,
+                // The coordinator relays records; it never opens one.
+                codec_memo: MemoStats::default(),
+            },
             worker_died: self.died,
             checkpoint_written,
             relayed_frames: self.links.iter().map(|l| l.r_out).sum(),

@@ -100,6 +100,24 @@
 //!   side needs no exception: the sleep set is in the metadata prefix.
 //!   Which path runs follows from the job's parameters, not from a
 //!   switch.
+//! - **Then the memo, then the codec.** A record that survives both
+//!   admissions is still mostly something this process has seen: it
+//!   differs from a state the worker routed or decoded a moment ago in
+//!   one or two of its thread / storage components. The codec context
+//!   ([`crate::state_codec`], *Component memo*) keeps the last few
+//!   values of each component with their canonical bytes, so the sender
+//!   copies the bytes of every component the successor still shares
+//!   with something it encoded (or decoded) before, and the owner gets
+//!   back the very `Arc`s — cached digest and transition enumeration
+//!   included — of every component whose bytes it has read (or written)
+//!   before; only what is left is walked or parsed. The order is
+//!   admission → memo → codec, each step exact: the first two never
+//!   drop a state the visited sets would keep, the memo never changes a
+//!   byte or a decoded value (pointer identity one way, byte equality
+//!   the other, audited on every hit in debug builds), so records,
+//!   counts and finals are what they were. A worker has one context —
+//!   its frontier store's — so wire records and spill segments feed the
+//!   same memo.
 //!
 //! ## Termination wave
 //!

@@ -8,7 +8,7 @@ use super::{decode_params, encode_params, run_worker, shard_of, WorkerEnv};
 use crate::net::{Conn, NetParams};
 use crate::oracle::{ExplorationStats, Frame};
 use crate::state_codec::CodecCtx;
-use crate::store::{decode_frame_meta, encode_frame};
+use crate::store::{decode_frame, decode_frame_meta, encode_frame};
 use crate::tests::sb_system;
 use crate::types::ModelParams;
 use ppc_bits::framed::{Receiver, Sender};
@@ -346,8 +346,8 @@ struct ScriptedLink {
     worker: std::thread::JoinHandle<std::io::Result<()>>,
     /// The root frame's record.
     root: FrameRecord,
-    /// Every digest the worker has routed so far, in order.
-    routed: Vec<u64>,
+    /// Every record the worker has routed so far, in order.
+    routed: Vec<FrameRecord>,
     probes: u64,
 }
 
@@ -399,7 +399,7 @@ impl ScriptedLink {
                 Msg::Heartbeat | Msg::Beat { .. } => {}
                 Msg::Route { dest, frames } => {
                     assert_ne!(dest, shard_of(self.root.digest, 2), "routed to itself");
-                    self.routed.extend(frames.iter().map(|f| f.digest));
+                    self.routed.extend(frames);
                 }
                 other => return other,
             }
@@ -464,13 +464,24 @@ fn worker_routes_each_digest_once_and_rejects_before_decoding() {
     // worker routed nothing its table still remembered. On SB no
     // eviction is followed by the evicted digest, so no digest repeats.
     let mut replay = SentTable::new(SENT_SLOTS);
-    assert!(link.routed.iter().all(|&d| !replay.check_and_insert(d)));
-    let distinct: HashSet<u64> = link.routed.iter().copied().collect();
+    let digests = link.routed.iter().map(|rec| rec.digest);
+    assert!(digests.clone().all(|d| !replay.check_and_insert(d)));
+    let distinct: HashSet<u64> = digests.collect();
     assert_eq!(
-        distinct.len(),
-        link.routed.len(),
+        (distinct.len(), link.routed.len()),
+        (321, 321),
         "a digest was routed twice by one worker"
     );
+    // The worker encodes through one long-lived context whose memo is
+    // warm for most of these; each record is still byte for byte what a
+    // context that has seen nothing writes for the state it carries.
+    let program = sb_system().program;
+    let cold = || CodecCtx::new(program.clone(), ModelParams::default());
+    for rec in &link.routed {
+        let frame = decode_frame(&cold(), &rec.bytes).expect("routed record decodes");
+        assert_eq!(frame.state.digest(), rec.digest);
+        assert_eq!(encode_frame(&cold(), &frame), rec.bytes);
+    }
 
     // The root again, verbatim, and once more with its state bytes
     // scrambled behind an intact prefix: both carry a visited digest.

@@ -17,7 +17,6 @@ use super::msg::{
 use super::{shard_of, ROUTE_BATCH};
 use crate::net::{Conn, FaultAction, FaultPlan, NetParams, SendKind};
 use crate::oracle::{expand, DfsFrontier, ExplorationStats, FinalState, Frame};
-use crate::state_codec::CodecCtx;
 use crate::store::{decode_frame_meta, encode_frame, StoreError};
 use crate::system::{SystemState, Transition};
 use crate::types::ThreadId;
@@ -100,7 +99,6 @@ pub fn run_worker(sock: Conn, env: &WorkerEnv<'_>, net: &NetParams) -> io::Resul
 
 struct Worker<'a> {
     env: &'a WorkerEnv<'a>,
-    ctx: CodecCtx,
     frontier: DfsFrontier,
     outbox: Vec<Vec<FrameRecord>>,
     /// Digests already routed to their owners, consulted before the
@@ -132,7 +130,6 @@ impl<'a> Worker<'a> {
         let (tx, rx) = mpsc::channel::<io::Result<Msg>>();
         spawn_reader(sock.try_clone()?, move |msg| tx.send(msg).is_ok());
         Ok(Worker {
-            ctx: CodecCtx::new(env.initial.program.clone(), params.clone()),
             frontier: DfsFrontier::new(env.initial),
             outbox: (0..env.n_shards).map(|_| Vec::new()).collect(),
             sent: (!params.sleep_sets).then(|| SentTable::new(SENT_SLOTS)),
@@ -280,7 +277,7 @@ impl<'a> Worker<'a> {
     fn record(&self, frame: &Frame) -> FrameRecord {
         FrameRecord {
             digest: frame.state.digest(),
-            bytes: encode_frame(&self.ctx, frame),
+            bytes: encode_frame(self.frontier.store.ctx(), frame),
         }
     }
 
@@ -344,7 +341,7 @@ impl<'a> Worker<'a> {
                             // An admitted digest whose state does not
                             // decode would be a hole in the state space:
                             // the run ends truncated.
-                            let state = match self.ctx.decode(state_bytes) {
+                            let state = match self.frontier.store.ctx().decode(state_bytes) {
                                 Ok(s) => s,
                                 Err(e) => return self.finish_failed(&corrupt(e)),
                             };

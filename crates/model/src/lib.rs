@@ -48,7 +48,7 @@ pub use oracle::{
     ExploreLimits, FinalState, Frame, Outcomes,
 };
 pub use reduction::independent;
-pub use state_codec::{decode_state, encode_state, CodecCtx};
+pub use state_codec::{decode_state, encode_state, CodecCtx, MemoCounts, MemoStats};
 pub use storage::{StorageState, StorageTransition};
 pub use store::StateStore;
 pub use system::{AdvanceTrace, EnumTrace, Program, SystemState, Transition};

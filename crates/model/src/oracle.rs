@@ -40,6 +40,7 @@
 //! deterministic progress) dominates the cost and parallelises
 //! embarrassingly.
 
+use crate::state_codec::MemoStats;
 use crate::store::{StateStore, StoreError};
 use crate::system::{SystemState, Transition};
 use crate::thread::ThreadTransition;
@@ -68,6 +69,11 @@ pub struct Outcomes {
     pub finals: BTreeSet<FinalState>,
     /// Exploration statistics.
     pub stats: ExplorationStats,
+    /// What the canonical codec's component memo did for this
+    /// process's spill store (zero when nothing spilled; a distributed
+    /// run's memos live in its worker processes and are not reported).
+    /// In-process only: no report, record or message carries it.
+    pub codec_memo: MemoStats,
 }
 
 /// Statistics from an exploration (for the paper's "combinatorially
@@ -678,7 +684,11 @@ fn explore_seq(
     }
     stats.resident_peak = frontier.store.resident_peak();
     stats.spilled_states = frontier.store.spilled_states();
-    Outcomes { finals, stats }
+    Outcomes {
+        finals,
+        stats,
+        codec_memo: frontier.store.codec_memo(),
+    }
 }
 
 /// Per-worker private accumulator of a work-stealing exploration.
@@ -1064,7 +1074,11 @@ fn explore_par(
         stats.final_hits += out.final_hits;
         finals.extend(out.finals);
     }
-    Outcomes { finals, stats }
+    Outcomes {
+        finals,
+        stats,
+        codec_memo: store.codec_memo(),
+    }
 }
 
 /// Extract the observable final states of a quiescent system state

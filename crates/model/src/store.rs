@@ -47,7 +47,7 @@
 //! exploration).
 
 use crate::oracle::{Actor, Frame};
-use crate::state_codec::{decode_transition, encode_transition, CodecCtx};
+use crate::state_codec::{decode_transition, encode_transition, CodecCtx, MemoStats};
 use crate::system::{Program, SystemState, Transition};
 use crate::types::ModelParams;
 use ppc_bits::{framed, DecodeError, Reader, SortedRun, Writer};
@@ -251,8 +251,10 @@ impl StateStore {
         self.budget
     }
 
-    /// The codec context, built on first use.
-    fn ctx(&self) -> &CodecCtx {
+    /// The codec context, built on first use. One per exploring process:
+    /// a distributed worker's wire records and its spill segments go
+    /// through the same context, so what one decodes the other can copy.
+    pub(crate) fn ctx(&self) -> &CodecCtx {
         self.ctx
             .get_or_init(|| CodecCtx::new(self.program.clone(), self.params.clone()))
     }
@@ -285,6 +287,13 @@ impl StateStore {
     #[must_use]
     pub fn spilled_states(&self) -> usize {
         self.spilled.load(Ordering::Relaxed)
+    }
+
+    /// What the codec's component memo did for this store (all zero for
+    /// a store that never spilled: the context is built on first use).
+    #[must_use]
+    pub fn codec_memo(&self) -> MemoStats {
+        self.ctx.get().map(CodecCtx::memo_stats).unwrap_or_default()
     }
 
     // ---- visited set ---------------------------------------------------
@@ -515,7 +524,7 @@ impl StateStore {
 /// ([`crate::distrib`]) — one encoding, everywhere a frame leaves the
 /// process.
 pub(crate) fn encode_frame(ctx: &CodecCtx, f: &Frame) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = Writer::with_capacity(ctx.record_hint());
     w.u64v(u64::from(f.switches));
     match f.last_actor {
         Actor::None => w.byte(0),
@@ -533,7 +542,7 @@ pub(crate) fn encode_frame(ctx: &CodecCtx, f: &Frame) -> Vec<u8> {
     for t in &f.wake {
         encode_transition(&mut w, t);
     }
-    w.bytes(&ctx.encode(&f.state));
+    ctx.encode_into(&mut w, &f.state);
     w.into_bytes()
 }
 

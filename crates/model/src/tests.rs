@@ -472,10 +472,9 @@ fn lb_addrs_ww_forbidden() {
 
 // ---- classic barrier strength tests ------------------------------------
 
-/// MP with no barriers: fully relaxed — Allowed.
-#[test]
-fn mp_allowed() {
-    let s = sys(
+/// The MP (message passing) system under default parameters.
+pub(crate) fn mp_system() -> SystemState {
+    sys(
         &[
             (
                 &["stw r7,0(r1)", "stw r8,0(r2)"],
@@ -485,7 +484,13 @@ fn mp_allowed() {
         ],
         &[],
         ModelParams::default(),
-    );
+    )
+}
+
+/// MP with no barriers: fully relaxed — Allowed.
+#[test]
+fn mp_allowed() {
+    let s = mp_system();
     let outs = reg_outcomes(&s, &[(1, 5), (1, 4)]);
     assert!(observed(&outs, &[((1, 5), 1), ((1, 4), 0)]));
     // And all four SC-ish outcomes exist.
@@ -775,10 +780,9 @@ fn wrc_sync_addr_forbidden() {
     );
 }
 
-/// WRC+pos (no barriers): Allowed.
-#[test]
-fn wrc_pos_allowed() {
-    let s = sys(
+/// The three-thread WRC+pos system under default parameters.
+pub(crate) fn wrc_pos_system() -> SystemState {
+    sys(
         &[
             (&["stw r7,0(r1)"], &[(1, X), (7, 1)]),
             (&["lwz r5,0(r1)", "stw r7,0(r2)"], &[(1, X), (2, Y), (7, 1)]),
@@ -789,7 +793,13 @@ fn wrc_pos_allowed() {
         ],
         &[],
         ModelParams::default(),
-    );
+    )
+}
+
+/// WRC+pos (no barriers): Allowed.
+#[test]
+fn wrc_pos_allowed() {
+    let s = wrc_pos_system();
     let outs = reg_outcomes(&s, &[(1, 5), (2, 6), (2, 4)]);
     assert!(
         observed(&outs, &[((1, 5), 1), ((2, 6), 1), ((2, 4), 0)]),

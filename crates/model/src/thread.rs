@@ -142,6 +142,12 @@ impl InstanceArena {
     pub fn values(&self) -> impl Iterator<Item = &InstrInstance> + '_ {
         self.slots.iter().filter_map(|s| s.as_deref())
     }
+
+    /// [`InstanceArena::values`] as the shared `Arc`s themselves — what
+    /// the codec's component memo keys an encode on.
+    pub(crate) fn arcs(&self) -> impl Iterator<Item = &Arc<InstrInstance>> + '_ {
+        self.slots.iter().filter_map(Option::as_ref)
+    }
 }
 
 impl std::ops::Index<InstanceId> for InstanceArena {

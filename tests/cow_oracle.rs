@@ -10,14 +10,32 @@
 //! canonical codec (`decode(encode(s))`), which produces a state
 //! sharing *no* dynamic structure with the original (only the immutable
 //! program cache), so a missed copy-on-write or a stale digest cache
-//! shows up as a divergence here.
+//! shows up as a divergence here. Both halves go through throwaway
+//! contexts ([`deep_copy`]): a long-lived context's component memo
+//! answers an encode from bytes it remembers for that `Arc` and a
+//! decode with the very `Arc`s it encoded, which is no copy at all.
 
 mod common;
 
 use common::gen_program;
 use ppcmem::bits::Prng;
 use ppcmem::litmus::{build_system, parse};
-use ppcmem::model::{CodecCtx, ModelParams, SystemState};
+use ppcmem::model::{decode_state, encode_state, CodecCtx, ModelParams, SystemState};
+use std::sync::Arc;
+
+/// `state` rebuilt from its canonical bytes by a fresh context: every
+/// thread, instance and storage component newly allocated and uniquely
+/// owned, every digest cell and enumeration cache empty.
+fn deep_copy(state: &SystemState) -> SystemState {
+    let deep =
+        decode_state(&encode_state(state), &state.program, &state.params).expect("state decodes");
+    let shared = (deep.threads.iter().zip(&state.threads)).any(|(d, s)| Arc::ptr_eq(d, s));
+    assert!(
+        !shared && !Arc::ptr_eq(&deep.storage, &state.storage),
+        "the deep-copy baseline shares a component with the original"
+    );
+    deep
+}
 
 /// One step of the differential: for each enabled transition, apply it
 /// both to the (Arc-sharing) `state` and to an independent deep clone,
@@ -25,7 +43,7 @@ use ppcmem::model::{CodecCtx, ModelParams, SystemState};
 /// continue the walk (so later states share structure across several
 /// generations of predecessors).
 fn check_state(state: &SystemState, ctx: &CodecCtx, rng: &mut Prng) -> Option<SystemState> {
-    let deep = ctx.decode(&ctx.encode(state)).expect("state decodes");
+    let deep = deep_copy(state);
     assert!(deep == *state, "deep clone differs before any transition");
     assert_eq!(deep.digest(), state.digest());
 
@@ -156,7 +174,6 @@ fn cached_digests_stay_sound_down_a_shared_chain() {
     let prog = gen_program(0xBEEF_CAFE);
     let test = parse(&prog.source).expect("generated program parses");
     let initial = build_system(&test, &params);
-    let ctx = CodecCtx::for_state(&initial);
 
     // Keep the whole chain alive so Arc refcounts stay > 1 and every
     // apply takes the genuine copy-on-write path (make_mut must clone).
@@ -164,7 +181,7 @@ fn cached_digests_stay_sound_down_a_shared_chain() {
     for _ in 0..40 {
         let state = chain.last().expect("non-empty");
         let digest_cached = state.digest(); // populate the cache
-        let fresh = ctx.decode(&ctx.encode(state)).expect("decodes");
+        let fresh = deep_copy(state);
         assert_eq!(
             digest_cached,
             fresh.digest(),
@@ -183,7 +200,7 @@ fn cached_digests_stay_sound_down_a_shared_chain() {
     // Every ancestor must still equal its own round-trip: successors
     // mutating shared structure may never write through to it.
     for (depth, state) in chain.iter().enumerate() {
-        let fresh = ctx.decode(&ctx.encode(state)).expect("decodes");
+        let fresh = deep_copy(state);
         assert!(
             fresh == *state,
             "ancestor at depth {depth} was mutated by a descendant"
@@ -209,7 +226,7 @@ fn digest_audit_catches_funnel_bypass() {
                             // Bypass the funnel: mutate a digested field through the Arc
                             // directly, without invalidating (the state is sole owner, so no
                             // CoW clone empties the cell for us).
-    let th = std::sync::Arc::get_mut(&mut state.threads[0]).expect("sole owner");
+    let th = Arc::get_mut(&mut state.threads[0]).expect("sole owner");
     th.reservation = Some((0xdead, 4));
     let _ = state.digest(); // audit must detect the stale thread cell
 }

@@ -17,6 +17,8 @@
 //! in-flight barriers, live reservations) rather than just initial and
 //! quiescent ones.
 
+mod common;
+
 use ppcmem::bits::Prng;
 use ppcmem::litmus::{build_system, library, parse};
 use ppcmem::model::{decode_state, encode_state, CodecCtx, ModelParams, SystemState};
@@ -51,7 +53,17 @@ fn check_random_prefix(
     let mut checked = 0;
     for _ in 0..=steps {
         let bytes = ctx.encode(&state);
-        let back = ctx.decode(&bytes).expect("canonical bytes decode");
+        // Decoded by a context that has seen nothing: `ctx` itself would
+        // answer from its component memo with the `Arc`s it has just
+        // encoded, and everything below would compare `state` with
+        // itself.
+        let back =
+            decode_state(&bytes, &state.program, &state.params).expect("canonical bytes decode");
+        assert!(
+            !std::sync::Arc::ptr_eq(&back.threads[0], &state.threads[0])
+                && !std::sync::Arc::ptr_eq(&back.storage, &state.storage),
+            "the decoded state is not an independent copy"
+        );
         assert!(
             back == state,
             "decode(encode(s)) != s after {checked} random transitions"
@@ -126,6 +138,48 @@ fn codec_round_trips_reservation_machinery() {
     assert!(total > 50, "only {total} prefix states checked");
 }
 
+/// The component memo is invisible in the bytes: on the `oracle_fuzz`
+/// generator's programs (2–4 threads, barriers, dependencies,
+/// `lwarx`/`stwcx.`) a context that has written every state so far and a
+/// fresh context per state write the same record, and a context that
+/// has read every record so far reads it back to the same state.
+#[test]
+fn memo_warm_vs_cold_on_fuzz_programs() {
+    let params = ModelParams {
+        allow_spurious_stcx_failure: true,
+        ..ModelParams::default()
+    };
+    let mut checked = 0;
+    for seed in 0..24u64 {
+        let prog = common::gen_program(0x3E30_F022_0000_0000 + seed);
+        let test = parse(&prog.source).expect("generated program parses");
+        let initial = build_system(&test, &params);
+        let (writer, reader) = (CodecCtx::for_state(&initial), CodecCtx::for_state(&initial));
+        // Depth-first, so consecutive states are search neighbours; the
+        // first 1500 states of a program are plenty to warm every slot.
+        let mut seen = std::collections::HashSet::from([initial.digest()]);
+        let mut stack = vec![initial.clone()];
+        while let Some(state) = stack.pop().filter(|_| seen.len() < 1500) {
+            let cold = CodecCtx::for_state(&initial).encode(&state);
+            assert_eq!(writer.encode(&state), cold, "seed {seed}: bytes differ");
+            let back = reader.decode(&cold).expect("canonical bytes decode");
+            assert!(back == state, "seed {seed}: decoded state differs");
+            assert_eq!(back.digest(), state.digest());
+            checked += 1;
+            for t in state.enumerate_transitions() {
+                let next = state.apply(&t);
+                if seen.insert(next.digest()) {
+                    stack.push(next);
+                }
+            }
+        }
+        let (wrote, read) = (writer.memo_stats(), reader.memo_stats());
+        assert!(wrote.component_encode.hits > 0, "seed {seed}: {wrote}");
+        assert!(read.component_decode.hits > 0, "seed {seed}: {read}");
+    }
+    assert!(checked > 10_000, "only {checked} states checked");
+}
+
 /// The cross-rebuild case the `Arc`-pointer digest cannot give: two
 /// independently built systems for the same test, driven through the
 /// same transition choices, encode to byte-identical strings at every
@@ -173,6 +227,9 @@ fn encoding_is_stable_across_independent_builds() {
         );
         let ctx_a = CodecCtx::for_state(&a0);
         let ctx_b = CodecCtx::for_state(&b0);
+        // Build B's reading side, kept apart from `ctx_b`: a context
+        // that has encoded `b` decodes `b`'s bytes to `b`'s own `Arc`s.
+        let reader_b = CodecCtx::for_state(&b0);
 
         let mut rng = Prng::seed_from_u64(0xC0DE_C0DE_0003);
         let (mut a, mut b) = (a0, b0);
@@ -185,7 +242,11 @@ fn encoding_is_stable_across_independent_builds() {
             );
             // Cross-decode: bytes from build A decode in build B's
             // context (this is the distributed-exploration handshake).
-            let b_from_a = ctx_b.decode(&ea).expect("cross-decode");
+            let b_from_a = reader_b.decode(&ea).expect("cross-decode");
+            assert!(
+                !std::sync::Arc::ptr_eq(&b_from_a.storage, &b.storage),
+                "{name}: the cross-decode handed back build B's own state"
+            );
             assert!(b_from_a == b, "{name}: cross-decoded state diverged");
 
             let ts = a.enumerate_transitions();
