@@ -29,6 +29,10 @@
 //! exploration this process ran. A `--distributed N` column adds
 //! nothing to it: its memos live in the worker processes, and nothing
 //! about them travels in a message.
+//! Every run closes with one `succ memo:` line — the successor memo's
+//! hits over fired transitions per footprint class
+//! (`ppc_model::SuccMemoStats`), summed over the in-process explorations
+//! (distributed columns again add nothing).
 //! `--checkpoint PATH` makes each distributed exploration resumable:
 //! a budget/deadline pause writes `PATH.<test>`, and a rerun picks up
 //! where it stopped (the file is deleted on completion).
@@ -55,7 +59,9 @@ use bench::args::{arg_value, check_flags, parse_arg, parse_nonzero_arg};
 use ppc_litmus::distrib::{run_source_distributed, DistribConfig, WorkerLaunch};
 use ppc_litmus::harness::{HarnessConfig, Job};
 use ppc_litmus::{library, parse, run_limited};
-use ppc_model::{resolve_threads, run_sequential, ExploreLimits, MemoStats, ModelParams};
+use ppc_model::{
+    resolve_threads, run_sequential, ExploreLimits, MemoStats, ModelParams, SuccMemoStats,
+};
 use ppc_service::{Budget, Oracle};
 use std::time::Instant;
 
@@ -209,6 +215,7 @@ fn main() {
     );
     println!("{rule}");
     let mut codec_memo = MemoStats::default();
+    let mut succ_memo = SuccMemoStats::default();
     for name in LADDER {
         let Some(e) = library().into_iter().find(|e| e.name == *name) else {
             continue;
@@ -236,6 +243,7 @@ fn main() {
         } else {
             let r1 = run_limited(&test, &params, &seq);
             codec_memo += r1.codec_memo;
+            succ_memo += r1.succ_memo;
             (
                 (
                     r1.finals,
@@ -267,6 +275,7 @@ fn main() {
         };
         let dtn = t0.elapsed().as_secs_f64();
         codec_memo += rn.codec_memo;
+        succ_memo += rn.succ_memo;
         if context_bound != 0 {
             // Bounded exploration is order-dependent (which path first
             // reaches a state fixes its switch budget), so the engines
@@ -340,4 +349,5 @@ exists (0:r6=2)
     if max_resident != 0 {
         println!("codec memo (this process's spill stores): {codec_memo}");
     }
+    println!("succ memo (this process's explorations): {succ_memo}");
 }

@@ -45,6 +45,7 @@ use ppc_model::net::{Conn, Listener, NetParams};
 use ppc_model::store::create_unique_temp_dir;
 use ppc_model::{
     CodecCtx, ExplorationStats, ExploreLimits, Frame, MemoStats, ModelParams, Outcomes,
+    SuccMemoStats,
 };
 use std::io;
 use std::path::PathBuf;
@@ -490,6 +491,7 @@ pub fn run_source_distributed(
             },
             relayed_frames: 0,
             codec_memo: MemoStats::default(),
+            succ_memo: SuccMemoStats::default(),
         },
     }
 }
@@ -548,6 +550,7 @@ pub fn outcomes_distributed(
                 ..ExplorationStats::default()
             },
             codec_memo: MemoStats::default(),
+            succ_memo: SuccMemoStats::default(),
         },
     }
 }

@@ -38,6 +38,10 @@ pub struct RunResult {
     /// memo counters (zero unless this process spilled). It stops here:
     /// no [`crate::harness::TestReport`] field or JSONL key carries it.
     pub codec_memo: ppc_model::MemoStats,
+    /// [`ppc_model::Outcomes::succ_memo`]: the exploring workers'
+    /// successor-memo counters (zero for a distributed run). In-process
+    /// only, like `codec_memo`.
+    pub succ_memo: ppc_model::SuccMemoStats,
 }
 
 /// Build the initial [`SystemState`] for a test.
@@ -140,6 +144,7 @@ pub(crate) fn result_from_outcomes(test: &LitmusTest, out: &ppc_model::Outcomes)
         stats: out.stats.clone(),
         relayed_frames: 0,
         codec_memo: out.codec_memo,
+        succ_memo: out.succ_memo,
     }
 }
 

@@ -11,7 +11,7 @@ use super::msg::{
 use super::probe::{ProbeTracker, ProbeVerdict};
 use super::{shard_of, ROUTE_BATCH};
 use crate::net::{Conn, NetParams};
-use crate::oracle::{ExplorationStats, ExploreLimits, FinalState, Frame, Outcomes};
+use crate::oracle::{ExplorationStats, ExploreLimits, FinalState, Frame, Outcomes, SuccMemoStats};
 use crate::state_codec::{CodecCtx, MemoStats};
 use crate::store::encode_frame;
 use ppc_bits::framed::{self, Sender};
@@ -684,6 +684,8 @@ impl Coordinator {
                 stats,
                 // The coordinator relays records; it never opens one.
                 codec_memo: MemoStats::default(),
+                // Nor expands a state: the workers' memos stay theirs.
+                succ_memo: SuccMemoStats::default(),
             },
             worker_died: self.died,
             checkpoint_written,

@@ -431,6 +431,7 @@ impl<'a> Worker<'a> {
                 self.env.mem_obs,
                 &mut self.finals,
                 &mut self.scratch,
+                &mut self.frontier.memo,
             );
             self.stats.bounded |= exp.bounded_hit;
             if exp.is_final {

@@ -43,9 +43,11 @@ pub mod system;
 pub mod thread;
 mod types;
 
+#[doc(hidden)]
+pub use oracle::explore_limited_memoless;
 pub use oracle::{
     explore, explore_bounded, explore_limited, run_sequential, Actor, ExplorationStats,
-    ExploreLimits, FinalState, Frame, Outcomes,
+    ExploreLimits, FinalState, Frame, Outcomes, SuccCounts, SuccMemoStats,
 };
 pub use reduction::independent;
 pub use state_codec::{decode_state, encode_state, CodecCtx, MemoCounts, MemoStats};

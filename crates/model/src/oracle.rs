@@ -39,17 +39,70 @@
 //! exists: state expansion (clone + transition application + eager
 //! deterministic progress) dominates the cost and parallelises
 //! embarrassingly.
+//!
+//! ## Successor memo
+//!
+//! A transition reads and writes only the components in its
+//! [`crate::reduction`] footprint, and copy-on-write successors share
+//! every other component by `Arc` — so states that share a thread (or
+//! the storage subsystem) keep firing the same transition on that same
+//! component and re-deriving the same successor component. Every
+//! exploring worker therefore owns one bounded, direct-mapped
+//! `SuccMemo` (`DfsFrontier` owns it for the sequential engine and for
+//! each distributed worker; each work-stealing worker owns its own —
+//! no lock, no thread-local): keyed by the transition plus the
+//! identities of the components in its R ∪ W set — the one thread's
+//! `Arc`, the storage `Arc`, the values of the id allocators — and
+//! valued by the successor's versions of the same components. A hit is
+//! the state's clone with those swapped in: no `apply`, no eager-progress
+//! advance, and the swapped-in components bring their cached digests
+//! and transition enumerations with them. A miss is the one
+//! [`SystemState::apply`]. What is visited does not change, only what
+//! visiting costs. Why a hit is exact:
+//!
+//! - **The key is everything `apply` reads.** A transition's effect is a
+//!   function of the program and parameters (fixed for an exploration)
+//!   and of the components in its R ∪ W set — the footprint's first
+//!   soundness fact. States with equal keys therefore have successors
+//!   that agree on the keyed components.
+//! - **Nothing outside the key changes.** An entry is recorded only
+//!   after checking that `apply` left every other component
+//!   `Arc::ptr_eq` to the parent's (and the id allocators equal), so
+//!   swapping the keyed components into another parent's clone gives
+//!   exactly what `apply` would have.
+//! - **Keys are pinned pointers, never digests.** Components compare by
+//!   `Arc::ptr_eq`, and an entry holds clones of the `Arc`s it names, so
+//!   no key pointer can be freed and reused for another value while the
+//!   entry lives (and `Arc::make_mut` on a pinned component clones
+//!   rather than mutate in place). Digests only choose the slot.
+//! - A transition whose footprint names more than one thread (the
+//!   fallback mask) is never memoised.
+//!
+//! It stays cheap and repeatable: the slot index hashes the transition,
+//! the keyed components' cached digests and the id values — never a
+//! pointer, so the counters repeat run to run — and a memo allocates its
+//! table only after `SUCC_MEMO_ENGAGE_AFTER` applies (a dozen-state
+//! service request never builds one), starting at
+//! `SUCC_MEMO_MIN_SLOTS` slots and doubling up to
+//! `SUCC_MEMO_MAX_SLOTS`. Debug builds re-derive every hit with
+//! `apply` and compare it structurally and by digest, and check the
+//! footprint's write set on every transition applied, so every debug
+//! exploration tests both halves of the footprint. [`Outcomes::succ_memo`]
+//! counts hits and misses per footprint class.
 
+use crate::reduction::{self, ID, STORAGE};
 use crate::state_codec::MemoStats;
+use crate::storage::StorageState;
 use crate::store::{StateStore, StoreError};
 use crate::system::{SystemState, Transition};
-use crate::thread::ThreadTransition;
-use crate::types::{ModelParams, ThreadId, WriteId};
+use crate::thread::{ThreadState, ThreadTransition};
+use crate::types::{DigestHasher, ModelParams, ThreadId, WriteId};
 use ppc_bits::Bv;
 use ppc_idl::Reg;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One observable final state: the queried registers and memory
@@ -74,6 +127,10 @@ pub struct Outcomes {
     /// run's memos live in its worker processes and are not reported).
     /// In-process only: no report, record or message carries it.
     pub codec_memo: MemoStats,
+    /// What the successor memos of this process's exploring workers did
+    /// (zero for a distributed run, whose memos live in its worker
+    /// processes). In-process only, like `codec_memo`.
+    pub succ_memo: SuccMemoStats,
 }
 
 /// Statistics from an exploration (for the paper's "combinatorially
@@ -212,11 +269,37 @@ pub fn explore_limited(
     mem_obs: &[(u64, usize)],
     limits: &ExploreLimits,
 ) -> Outcomes {
+    explore_with(initial, reg_obs, mem_obs, limits, SuccMemo::new)
+}
+
+/// [`explore_limited`] with every successor memo left disengaged, so
+/// each transition goes through [`SystemState::apply`]: the reference
+/// side of the memo differential tests. Not an option of the engines.
+#[doc(hidden)]
+#[must_use]
+pub fn explore_limited_memoless(
+    initial: &SystemState,
+    reg_obs: &[(ThreadId, Reg)],
+    mem_obs: &[(u64, usize)],
+    limits: &ExploreLimits,
+) -> Outcomes {
+    explore_with(initial, reg_obs, mem_obs, limits, SuccMemo::disengaged)
+}
+
+/// Dispatch to the sequential or the work-stealing engine, each of
+/// whose workers gets a successor memo from `memo`.
+fn explore_with(
+    initial: &SystemState,
+    reg_obs: &[(ThreadId, Reg)],
+    mem_obs: &[(u64, usize)],
+    limits: &ExploreLimits,
+    memo: fn() -> SuccMemo,
+) -> Outcomes {
     let threads = limits.effective_threads();
     if threads <= 1 {
-        explore_seq(initial, reg_obs, mem_obs, limits)
+        explore_seq(initial, reg_obs, mem_obs, limits, memo)
     } else {
-        explore_par(initial, reg_obs, mem_obs, threads, limits)
+        explore_par(initial, reg_obs, mem_obs, threads, limits, memo)
     }
 }
 
@@ -330,13 +413,16 @@ pub(crate) struct Expansion {
 ///
 /// `scratch` is a per-worker transition buffer reused across every state
 /// the worker expands (the enumeration is rebuilt into it each call), so
-/// the hot loop performs no per-state transition-list allocation.
+/// the hot loop performs no per-state transition-list allocation; `memo`
+/// is the worker's successor memo (see the module docs), through which
+/// every successor is derived.
 pub(crate) fn expand(
     frame: &Frame,
     reg_obs: &[(ThreadId, Reg)],
     mem_obs: &[(u64, usize)],
     finals: &mut BTreeSet<FinalState>,
     scratch: &mut Vec<Transition>,
+    memo: &mut SuccMemo,
 ) -> Expansion {
     let state = &frame.state;
     state.enumerate_transitions_into(scratch);
@@ -405,7 +491,7 @@ pub(crate) fn expand(
             Vec::new()
         };
         succs.push(Frame {
-            state: state.apply(t),
+            state: memo.successor(state, t),
             sleep,
             wake: Vec::new(),
             last_actor: actor,
@@ -421,6 +507,354 @@ pub(crate) fn expand(
         is_final: false,
         bounded_hit,
     }
+}
+
+/// Applies an exploring worker makes through its [`SuccMemo`] before the
+/// memo allocates a table: explorations smaller than this (most service
+/// requests) pay for no table at all.
+pub(crate) const SUCC_MEMO_ENGAGE_AFTER: u64 = 256;
+
+/// Slots of a freshly engaged [`SuccMemo`] table.
+pub(crate) const SUCC_MEMO_MIN_SLOTS: usize = 16;
+
+/// The most slots a [`SuccMemo`] table grows to. It bounds the memory the
+/// memo pins (each slot at most two threads and two storage states),
+/// whatever the size of the state space. A constant, not a knob — a
+/// smaller table only applies more.
+pub(crate) const SUCC_MEMO_MAX_SLOTS: usize = 4096;
+
+/// Hits and misses of the successor memo for one footprint class.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SuccCounts {
+    /// Successors taken from the memo.
+    pub hits: u64,
+    /// Successors derived by [`SystemState::apply`].
+    pub misses: u64,
+}
+
+impl std::ops::AddAssign for SuccCounts {
+    fn add_assign(&mut self, other: SuccCounts) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+    }
+}
+
+/// What the successor memos of an exploration did, by the footprint
+/// class of the transitions they were asked for. Every fired transition
+/// is one hit or one miss. Deterministic counters for a sequential (or
+/// distributed-worker) run; summed over workers, and so dependent on
+/// work arrival, for a work-stealing run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SuccMemoStats {
+    /// Thread transitions that read and write only their own thread.
+    pub thread_local: SuccCounts,
+    /// Thread transitions that also read storage (a read satisfied
+    /// from storage).
+    pub storage_reading: SuccCounts,
+    /// Transitions that allocate a write or barrier id.
+    pub id_allocating: SuccCounts,
+    /// The other storage-subsystem transitions.
+    pub storage: SuccCounts,
+    /// The largest table any of the memos had (`0`: none engaged).
+    pub slots: usize,
+}
+
+impl SuccMemoStats {
+    /// All classes together.
+    #[must_use]
+    pub fn total(&self) -> SuccCounts {
+        let mut all = self.thread_local;
+        all += self.storage_reading;
+        all += self.id_allocating;
+        all += self.storage;
+        all
+    }
+
+    /// Count one successor of `t`, whose footprint is `(r, w)`.
+    fn record(&mut self, t: &Transition, (r, w): (u64, u64), hit: bool) {
+        let class = if w & ID != 0 {
+            &mut self.id_allocating
+        } else if matches!(t, Transition::Storage(_)) {
+            &mut self.storage
+        } else if (r | w) & STORAGE != 0 {
+            &mut self.storage_reading
+        } else {
+            &mut self.thread_local
+        };
+        if hit {
+            class.hits += 1;
+        } else {
+            class.misses += 1;
+        }
+    }
+}
+
+/// Counters of several explorations (a CLI summing its runs, or the
+/// work-stealing engine summing its workers).
+impl std::ops::AddAssign for SuccMemoStats {
+    fn add_assign(&mut self, other: SuccMemoStats) {
+        self.thread_local += other.thread_local;
+        self.storage_reading += other.storage_reading;
+        self.id_allocating += other.id_allocating;
+        self.storage += other.storage;
+        self.slots = self.slots.max(other.slots);
+    }
+}
+
+/// The one-line form the CLIs print (`hits/successors` per class).
+impl std::fmt::Display for SuccMemoStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let frac = |c: &SuccCounts| format!("{}/{}", c.hits, c.hits + c.misses);
+        let all = self.total();
+        write!(
+            f,
+            "thread-local {}, storage-reading {}, id-allocating {}, storage {}; \
+             {} hits ({:.1} %), table {} slots",
+            frac(&self.thread_local),
+            frac(&self.storage_reading),
+            frac(&self.id_allocating),
+            frac(&self.storage),
+            frac(&all),
+            100.0 * all.hits as f64 / (all.hits + all.misses).max(1) as f64,
+            self.slots,
+        )
+    }
+}
+
+/// Which components a memo key names: those of a transition's R ∪ W set
+/// — at most one thread, the storage subsystem, the id allocators.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct KeyShape {
+    thread: Option<ThreadId>,
+    storage: bool,
+    ids: bool,
+}
+
+impl KeyShape {
+    /// The shape of footprint mask `rw`; `None` (never memoised) when it
+    /// names more than one thread, as the fallback mask does.
+    fn of(rw: u64) -> Option<KeyShape> {
+        let threads = rw & reduction::THREADS;
+        (threads.count_ones() <= 1).then(|| KeyShape {
+            thread: (threads != 0).then(|| threads.trailing_zeros() as ThreadId),
+            storage: rw & STORAGE != 0,
+            ids: rw & ID != 0,
+        })
+    }
+
+    /// The slot hash of `t` on `state`'s keyed components: their cached
+    /// digests and the id values, never a pointer (so a run's counters
+    /// repeat exactly).
+    fn slot_hash(self, state: &SystemState, t: &Transition) -> u64 {
+        let mut h = DigestHasher::new();
+        t.hash(&mut h);
+        if let Some(tid) = self.thread {
+            state.threads[tid].digest().hash(&mut h);
+        }
+        if self.storage {
+            state.storage.digest().hash(&mut h);
+        }
+        if self.ids {
+            (state.next_write_id, state.next_barrier_id).hash(&mut h);
+        }
+        h.finish()
+    }
+}
+
+/// The keyed components of one state, as its own `Arc`s (so an entry
+/// pins them) and id values.
+struct Parts {
+    thread: Option<Arc<ThreadState>>,
+    storage: Option<Arc<StorageState>>,
+    ids: (u32, u32),
+}
+
+impl Parts {
+    fn of(state: &SystemState, shape: KeyShape) -> Parts {
+        Parts {
+            thread: shape.thread.map(|tid| state.threads[tid].clone()),
+            storage: shape.storage.then(|| state.storage.clone()),
+            ids: (state.next_write_id, state.next_barrier_id),
+        }
+    }
+
+    /// Whether `state`'s keyed components are these, by pointer.
+    fn are_in(&self, state: &SystemState, shape: KeyShape) -> bool {
+        let thread = match (shape.thread, &self.thread) {
+            (Some(tid), Some(th)) => Arc::ptr_eq(th, &state.threads[tid]),
+            (None, None) => true,
+            _ => false,
+        };
+        let storage = self
+            .storage
+            .as_ref()
+            .is_none_or(|st| Arc::ptr_eq(st, &state.storage));
+        let ids = !shape.ids || self.ids == (state.next_write_id, state.next_barrier_id);
+        thread && storage && ids
+    }
+
+    /// Swap these components into `state`.
+    fn put_into(&self, state: &mut SystemState, shape: KeyShape) {
+        if let (Some(tid), Some(th)) = (shape.thread, &self.thread) {
+            state.threads[tid] = th.clone();
+        }
+        if let Some(st) = &self.storage {
+            state.storage = st.clone();
+        }
+        if shape.ids {
+            (state.next_write_id, state.next_barrier_id) = self.ids;
+        }
+    }
+}
+
+/// One remembered transition: its key (`t` on the `before` components)
+/// and what it produced from them (`after`).
+struct SuccEntry {
+    hash: u64,
+    t: Transition,
+    shape: KeyShape,
+    before: Parts,
+    after: Parts,
+}
+
+/// One exploring worker's successor memo (see the module docs): a
+/// direct-mapped table of [`SuccEntry`]s in front of
+/// [`SystemState::apply`].
+pub(crate) struct SuccMemo {
+    /// Empty until the memo engages; then a power of two in
+    /// `SUCC_MEMO_MIN_SLOTS..=SUCC_MEMO_MAX_SLOTS`.
+    slots: Vec<Option<SuccEntry>>,
+    occupied: usize,
+    /// Misses before the table is allocated.
+    engage_after: u64,
+    stats: SuccMemoStats,
+}
+
+impl SuccMemo {
+    pub(crate) fn new() -> Self {
+        SuccMemo {
+            slots: Vec::new(),
+            occupied: 0,
+            engage_after: SUCC_MEMO_ENGAGE_AFTER,
+            stats: SuccMemoStats::default(),
+        }
+    }
+
+    /// A memo that never engages: every successor is applied. The
+    /// reference side of the memo differential tests.
+    pub(crate) fn disengaged() -> Self {
+        SuccMemo {
+            engage_after: u64::MAX,
+            ..SuccMemo::new()
+        }
+    }
+
+    /// What this memo has done so far.
+    pub(crate) fn stats(&self) -> SuccMemoStats {
+        SuccMemoStats {
+            slots: self.slots.len(),
+            ..self.stats
+        }
+    }
+
+    /// The successor of `state` by `t` (which must be enabled in it):
+    /// from the memo when `t` was fired before on the same keyed
+    /// components, else by [`SystemState::apply`].
+    pub(crate) fn successor(&mut self, state: &SystemState, t: &Transition) -> SystemState {
+        let (r, w) = reduction::footprint(state, t);
+        let shape = KeyShape::of(r | w).filter(|_| self.engaged());
+        let Some(shape) = shape else {
+            self.stats.record(t, (r, w), false);
+            return checked_apply(state, t, w);
+        };
+        let hash = shape.slot_hash(state, t);
+        let slot = hash as usize & (self.slots.len() - 1);
+        if let Some(e) = &self.slots[slot] {
+            if e.hash == hash && e.t == *t && e.shape == shape && e.before.are_in(state, shape) {
+                let mut succ = state.clone();
+                e.after.put_into(&mut succ, shape);
+                #[cfg(debug_assertions)]
+                audit_hit(state, t, w, &succ);
+                self.stats.record(t, (r, w), true);
+                return succ;
+            }
+        }
+        self.stats.record(t, (r, w), false);
+        let succ = checked_apply(state, t, w);
+        // Only what the key pins down may differ: an `apply` that moved
+        // anything else would make the entry wrong for the next parent.
+        if reduction::check_write_set(state, &succ, r | w).is_ok() {
+            self.insert(SuccEntry {
+                hash,
+                t: *t,
+                shape,
+                before: Parts::of(state, shape),
+                after: Parts::of(&succ, shape),
+            });
+        }
+        succ
+    }
+
+    /// Whether the table exists, allocating it once enough applies have
+    /// gone by.
+    fn engaged(&mut self) -> bool {
+        if self.slots.is_empty() {
+            if self.stats.total().misses < self.engage_after {
+                return false;
+            }
+            self.slots.resize_with(SUCC_MEMO_MIN_SLOTS, || None);
+        }
+        true
+    }
+
+    /// Put `e` in its slot (evicting the slot's entry), doubling the
+    /// table once three quarters of its slots are taken.
+    fn insert(&mut self, e: SuccEntry) {
+        let slot = e.hash as usize & (self.slots.len() - 1);
+        if self.slots[slot].replace(e).is_some() {
+            return;
+        }
+        self.occupied += 1;
+        if self.occupied * 4 > self.slots.len() * 3 && self.slots.len() < SUCC_MEMO_MAX_SLOTS {
+            let old = std::mem::take(&mut self.slots);
+            self.slots.resize_with(old.len() * 2, || None);
+            // Doubling splits each slot in two, so nothing collides.
+            for e in old.into_iter().flatten() {
+                let slot = e.hash as usize & (self.slots.len() - 1);
+                self.slots[slot] = Some(e);
+            }
+        }
+    }
+}
+
+/// `state.apply(t)`; debug builds also check that it changed nothing
+/// outside the footprint's write set `w`.
+fn checked_apply(state: &SystemState, t: &Transition, w: u64) -> SystemState {
+    let succ = state.apply(t);
+    debug_assert_eq!(
+        reduction::check_write_set(state, &succ, w),
+        Ok(()),
+        "the footprint of {t:?} misses a component its apply writes"
+    );
+    succ
+}
+
+/// Debug-build audit of a memo hit, beside the digest-cache audit in
+/// [`SystemState::digest`]: re-derive the successor with `apply` and
+/// require the memo's to equal it, structurally and by digest. A
+/// footprint whose R set misses a component `apply` reads fails here.
+#[cfg(debug_assertions)]
+fn audit_hit(state: &SystemState, t: &Transition, w: u64, succ: &SystemState) {
+    let fresh = checked_apply(state, t, w);
+    assert!(
+        fresh == *succ,
+        "successor memo served a wrong successor for {t:?}"
+    );
+    assert_eq!(
+        fresh.digest(),
+        succ.digest(),
+        "successor memo served a successor with another digest for {t:?}"
+    );
 }
 
 /// The per-state sleep-set memo driving reduced-mode deduplication: for
@@ -514,7 +948,8 @@ fn sorted_intersect(a: &[Transition], b: &[Transition]) -> Vec<Transition> {
 /// The depth-first frontier of one exploring process — what the
 /// sequential engine and each distributed worker ([`crate::distrib`])
 /// drive: the admission filter, the in-memory stack of unexpanded
-/// frames, and the stack's disk half.
+/// frames, the stack's disk half, and the successor memo its expansions
+/// go through.
 ///
 /// The visited set and spilled frames live in a [`StateStore`]: fully
 /// in memory when [`ModelParams::max_resident_states`] is `0`, spilling
@@ -530,6 +965,8 @@ pub(crate) struct DfsFrontier {
     /// stored sleep set, and spilling digests to cold runs would lose
     /// it. `None` unreduced. The frontier's disk half is shared.
     pub(crate) sleep_map: Option<SleepMap>,
+    /// The [`expand`] memo of this frontier's one exploring thread.
+    pub(crate) memo: SuccMemo,
     stack: Vec<Frame>,
 }
 
@@ -539,6 +976,7 @@ impl DfsFrontier {
         DfsFrontier {
             store: StateStore::new(initial.program.clone(), &initial.params, 1),
             sleep_map: initial.params.sleep_sets.then(SleepMap::new),
+            memo: SuccMemo::new(),
             stack: Vec::new(),
         }
     }
@@ -630,8 +1068,12 @@ fn explore_seq(
     reg_obs: &[(ThreadId, Reg)],
     mem_obs: &[(u64, usize)],
     limits: &ExploreLimits,
+    memo: fn() -> SuccMemo,
 ) -> Outcomes {
-    let mut frontier = DfsFrontier::new(initial);
+    let mut frontier = DfsFrontier {
+        memo: memo(),
+        ..DfsFrontier::new(initial)
+    };
     let mut stats = ExplorationStats::default();
     let mut finals = BTreeSet::new();
     let mut scratch = Vec::new();
@@ -659,7 +1101,14 @@ fn explore_seq(
                     }
                 }
             }
-            let exp = expand(&frame, reg_obs, mem_obs, &mut finals, &mut scratch);
+            let exp = expand(
+                &frame,
+                reg_obs,
+                mem_obs,
+                &mut finals,
+                &mut scratch,
+                &mut frontier.memo,
+            );
             stats.bounded |= exp.bounded_hit;
             if exp.is_final {
                 stats.final_hits += 1;
@@ -688,6 +1137,7 @@ fn explore_seq(
         finals,
         stats,
         codec_memo: frontier.store.codec_memo(),
+        succ_memo: frontier.memo.stats(),
     }
 }
 
@@ -696,6 +1146,7 @@ struct WorkerOut {
     finals: BTreeSet<FinalState>,
     transitions: usize,
     final_hits: usize,
+    succ_memo: SuccMemoStats,
 }
 
 /// How often (in expanded states, per worker) the wall-clock deadline is
@@ -871,12 +1322,14 @@ fn steal_worker(
     me: usize,
     reg_obs: &[(ThreadId, Reg)],
     mem_obs: &[(u64, usize)],
+    mut memo: SuccMemo,
 ) -> WorkerOut {
     let _guard = StopOnPanic(pool);
     let mut out = WorkerOut {
         finals: BTreeSet::new(),
         transitions: 0,
         final_hits: 0,
+        succ_memo: SuccMemoStats::default(),
     };
     let mut scratch = Vec::new();
     let mut idle_spins: u32 = 0;
@@ -942,7 +1395,14 @@ fn steal_worker(
             }
         }
 
-        let exp = expand(&frame, reg_obs, mem_obs, &mut out.finals, &mut scratch);
+        let exp = expand(
+            &frame,
+            reg_obs,
+            mem_obs,
+            &mut out.finals,
+            &mut scratch,
+            &mut memo,
+        );
         if exp.bounded_hit {
             pool.bounded.store(true, Ordering::SeqCst);
         }
@@ -991,6 +1451,7 @@ fn steal_worker(
         }
         pool.pending.fetch_sub(1, Ordering::SeqCst);
     }
+    out.succ_memo = memo.stats();
     out
 }
 
@@ -1011,6 +1472,7 @@ fn explore_par(
     mem_obs: &[(u64, usize)],
     threads: usize,
     limits: &ExploreLimits,
+    memo: fn() -> SuccMemo,
 ) -> Outcomes {
     let store = StateStore::new(initial.program.clone(), &initial.params, threads);
     let pool = StealPool {
@@ -1044,9 +1506,9 @@ fn explore_par(
     let outs: Vec<WorkerOut> = std::thread::scope(|s| {
         let pool = &pool;
         let handles: Vec<_> = (1..threads)
-            .map(|me| s.spawn(move || steal_worker(pool, me, reg_obs, mem_obs)))
+            .map(|me| s.spawn(move || steal_worker(pool, me, reg_obs, mem_obs, memo())))
             .collect();
-        let mut outs = vec![steal_worker(pool, 0, reg_obs, mem_obs)];
+        let mut outs = vec![steal_worker(pool, 0, reg_obs, mem_obs, memo())];
         outs.extend(
             handles
                 .into_iter()
@@ -1069,15 +1531,18 @@ fn explore_par(
         ..ExplorationStats::default()
     };
     let mut finals = BTreeSet::new();
+    let mut succ_memo = SuccMemoStats::default();
     for out in outs {
         stats.transitions += out.transitions;
         stats.final_hits += out.final_hits;
         finals.extend(out.finals);
+        succ_memo += out.succ_memo;
     }
     Outcomes {
         finals,
         stats,
         codec_memo: store.codec_memo(),
+        succ_memo,
     }
 }
 
@@ -1275,3 +1740,7 @@ pub(crate) fn choose_sequential(state: &SystemState, ts: &[Transition]) -> Optio
         })
         .cloned()
 }
+
+#[cfg(test)]
+#[path = "succ_memo_tests.rs"]
+mod succ_memo_tests;

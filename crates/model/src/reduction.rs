@@ -1,5 +1,16 @@
-//! A conservative independence relation over [`Transition`]s, for the
-//! sleep-set partial-order reduction layer in [`crate::oracle`].
+//! Component footprints of [`Transition`]s, and the conservative
+//! independence relation the sleep-set partial-order reduction layer in
+//! [`crate::oracle`] builds on them.
+//!
+//! The footprint is load-bearing in *every* exploration mode, not only
+//! under the reduction: the oracle's successor memo keys a transition on
+//! the components of its R ∪ W set and swaps in the successor's copies
+//! of them (see the `oracle` module docs, *Successor memo*). A missing
+//! read therefore costs more than pruning there — the memo would serve
+//! one state's successor to another that differs in the unlisted
+//! component — which is why debug builds re-derive every memo hit and
+//! check, on every applied transition, that nothing outside W changed
+//! (`check_write_set`).
 //!
 //! Two transitions enabled in the same state are *independent* when
 //! applying them in either order reaches the same state and neither
@@ -38,12 +49,16 @@ use crate::storage::StorageTransition;
 use crate::system::{SystemState, Transition};
 use crate::thread::ThreadTransition;
 use crate::types::ThreadId;
+use std::sync::Arc;
 
 /// Footprint masks track this many distinct threads; transitions naming
 /// a thread at or beyond it get a full (conflicts-with-everything)
 /// mask. Litmus-scale programs have 2–4 threads, so this is never hit
 /// in practice — it only bounds the bit layout.
 pub const MAX_TRACKED_THREADS: usize = 16;
+
+/// Every thread bit (one per tracked [`crate::ThreadState`]).
+pub(crate) const THREADS: u64 = (1 << MAX_TRACKED_THREADS) - 1;
 
 /// Global storage writes table + writes-seen set.
 const GW: u64 = 1 << 32;
@@ -54,7 +69,10 @@ const GB: u64 = 1 << 34;
 /// Unacknowledged-sync-request set.
 const GS: u64 = 1 << 35;
 /// The `next_write_id` / `next_barrier_id` allocators.
-const ID: u64 = 1 << 36;
+pub(crate) const ID: u64 = 1 << 36;
+/// Every bit that lives in the one [`crate::StorageState`]: the
+/// per-thread propagation lists and the global tables.
+pub(crate) const STORAGE: u64 = (THREADS << MAX_TRACKED_THREADS) | GW | GC | GB | GS;
 /// Everything: the conservative fallback mask.
 const ALL: u64 = u64::MAX;
 
@@ -90,7 +108,7 @@ fn all_lists(threads: usize) -> u64 {
 ///
 /// `tr` must be enabled in `state` (footprints consult the event
 /// tables and instance the transition names).
-fn footprint(state: &SystemState, tr: &Transition) -> (u64, u64) {
+pub(crate) fn footprint(state: &SystemState, tr: &Transition) -> (u64, u64) {
     match tr {
         Transition::Thread(tt) => match tt {
             // Purely thread-local steps: fetching, forwarding from an
@@ -172,4 +190,32 @@ pub fn independent(state: &SystemState, a: &Transition, b: &Transition) -> bool 
     let (ra, wa) = footprint(state, a);
     let (rb, wb) = footprint(state, b);
     (wa & rb) | (wb & ra) | (wa & wb) == 0
+}
+
+/// The write-set claim, checked on one applied transition: `succ` (the
+/// successor of `parent` by a transition with write mask `w`) shares
+/// every component outside `w` with `parent` by `Arc` pointer, and has
+/// the parent's id allocators unless `ID ∈ w`.
+///
+/// # Errors
+///
+/// Names the first component that changed outside `w`.
+pub(crate) fn check_write_set(
+    parent: &SystemState,
+    succ: &SystemState,
+    w: u64,
+) -> Result<(), String> {
+    for (tid, (a, b)) in parent.threads.iter().zip(&succ.threads).enumerate() {
+        if w & t(tid) == 0 && !Arc::ptr_eq(a, b) {
+            return Err(format!("thread {tid} changed outside the write set"));
+        }
+    }
+    if w & STORAGE == 0 && !Arc::ptr_eq(&parent.storage, &succ.storage) {
+        return Err("storage changed outside the write set".into());
+    }
+    let ids = |s: &SystemState| (s.next_write_id, s.next_barrier_id);
+    if w & ID == 0 && ids(parent) != ids(succ) {
+        return Err("an id allocator moved outside the write set".into());
+    }
+    Ok(())
 }

@@ -90,8 +90,8 @@ use crate::storage::{StorageEvent, StorageState, StorageTransition};
 use crate::system::{Program, SystemState, Transition};
 use crate::thread::ThreadTransition;
 use crate::thread::{
-    InstanceArena, InstanceId, InstrInstance, PendingWrite, ReadSource, RegReadRec, SatRead,
-    ThreadState,
+    instance_id_limit, InstanceArena, InstanceId, InstrInstance, PendingWrite, ReadSource,
+    RegReadRec, SatRead, ThreadState,
 };
 use crate::types::{
     BarrierEv, BarrierId, DigestCell, Digested, ModelParams, TransitionCache, Write, WriteId,
@@ -612,6 +612,13 @@ impl CodecCtx {
         let tid = r.usizev()?;
         let start_addr = r.u64v()?;
         let next_id = r.usizev()?;
+        // `next_id` bounds every id below, and is itself bounded by what
+        // a thread of this context's exploration can allocate at all: an
+        // id sizes the arena's slot vector, so neither may come from the
+        // record alone.
+        if next_id > instance_id_limit(self.params.max_instances_per_thread) {
+            return Err(DecodeError::Invalid("next_id beyond the instance id limit"));
+        }
         let root = r.option(Reader::usizev)?;
         let reservation = r.option(|r| {
             let a = r.u64v()?;
@@ -1264,7 +1271,7 @@ pub fn decode_state(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{expand, explore_limited, ExploreLimits, Frame};
+    use crate::oracle::{expand, explore_limited, ExploreLimits, Frame, SuccMemo};
     use crate::tests::{mp_system, sb_system, wrc_pos_system};
     use ppc_bits::Prng;
     use std::collections::HashSet;
@@ -1274,10 +1281,10 @@ mod tests {
     fn all_states(initial: &SystemState) -> Vec<SystemState> {
         let mut seen = HashSet::from([initial.digest()]);
         let mut stack = vec![Frame::root(initial.clone())];
-        let (mut finals, mut scratch) = (BTreeSet::new(), Vec::new());
+        let (mut finals, mut scratch, mut memo) = (BTreeSet::new(), Vec::new(), SuccMemo::new());
         let mut out = Vec::new();
         while let Some(frame) = stack.pop() {
-            for next in expand(&frame, &[], &[], &mut finals, &mut scratch).succs {
+            for next in expand(&frame, &[], &[], &mut finals, &mut scratch, &mut memo).succs {
                 if seen.insert(next.state.digest()) {
                     stack.push(next);
                 }
@@ -1437,7 +1444,9 @@ mod tests {
             .next()
             .expect("a fetched thread")
             .clone();
-        let id = 20 * MEMO_INSTANCE_IDS;
+        // Far past the memo's bound, inside the codec's own id limit.
+        let id = 10 * MEMO_INSTANCE_IDS;
+        assert!(id < instance_id_limit(initial.params.max_instances_per_thread));
         Arc::make_mut(&mut inst).id = id;
         th.instances = InstanceArena::new();
         th.instances.insert(inst);
@@ -1457,6 +1466,54 @@ mod tests {
             .threads
             .iter()
             .all(|t| t.instances.len() <= MEMO_INSTANCE_IDS));
+    }
+
+    /// A record whose thread claims a huge `next_id` (and an instance id
+    /// just below it) is refused before the id can size the instance
+    /// arena: `Err`, not a multi-gigabyte slot vector or an abort. The
+    /// limit itself still decodes.
+    #[test]
+    fn hostile_next_id_is_refused_before_it_sizes_an_arena() {
+        let initial = sb_system();
+        let mid = all_states(&initial).swap_remove(700);
+        let root = mid.threads[0].instances.arcs().next().expect("fetched");
+        assert_eq!(root.id, 0);
+        let ctx = CodecCtx::for_state(&initial);
+        // One thread whose only instance is `mid`'s root renumbered to
+        // `id`, with `next_id` just past it — written field by field,
+        // since a state holding such an id would need the arena itself.
+        let record = |id: usize| {
+            let mut inst = Writer::new();
+            ctx.encode_instance(&mut inst, root, None);
+            let mut w = Writer::new();
+            w.byte(VERSION);
+            w.usizev(1);
+            w.usizev(0);
+            w.u64v(mid.threads[0].start_addr);
+            w.usizev(id + 1);
+            w.option(Some(&id), |w, &r| w.usizev(r));
+            w.option(None::<&(u64, usize)>, |_, _| {});
+            w.usizev(0);
+            w.usizev(1);
+            w.usizev(id);
+            w.bytes(&inst.as_slice()[1..]); // past the one-byte id 0
+            encode_storage(&mut w, &mid.storage, None);
+            w.u64v(u64::from(mid.next_write_id));
+            w.u64v(u64::from(mid.next_barrier_id));
+            w.into_bytes()
+        };
+        let limit = instance_id_limit(initial.params.max_instances_per_thread);
+        let fits = ctx
+            .decode(&record(limit - 1))
+            .expect("the limit itself decodes");
+        assert_eq!(fits.threads[0].next_id, limit);
+        for id in [limit, 1 << 24, 1 << 40, usize::MAX >> 8] {
+            assert_eq!(
+                ctx.decode(&record(id)),
+                Err(DecodeError::Invalid("next_id beyond the instance id limit")),
+                "instance id {id}"
+            );
+        }
     }
 
     /// An equal component that arrives under a new `Arc` takes over the
@@ -1485,6 +1542,13 @@ mod tests {
     /// (d) The counters are a function of the run: a sequential SB
     /// exploration that spills under a 16-state budget repeats them
     /// exactly, and most components it reads back are shared.
+    ///
+    /// The pinned encode counts depend on how much the spilled states
+    /// share, not only on the codec: since the oracle's successor memo
+    /// hands siblings and cousins the *same* successor component where
+    /// `apply` used to build equal copies, more spilled components are
+    /// already-memoised `Arc`s (component encode hits 175 → 199 of 255,
+    /// instance encode misses 83 → 49). The bytes written are the same.
     #[test]
     fn memo_counters_repeat_exactly_on_a_spilling_run() {
         let run = || {
@@ -1508,9 +1572,9 @@ mod tests {
             miss_bytes,
         };
         let pinned = MemoStats {
-            component_encode: counts(175, 80, 36032, 18956),
+            component_encode: counts(199, 56, 42142, 12846),
             component_decode: counts(255, 0, 54988, 0),
-            instance_encode: counts(8, 83, 1080, 10943),
+            instance_encode: counts(8, 49, 1080, 6535),
             instance_decode: counts(0, 0, 0, 0),
         };
         assert_eq!(stats, pinned);

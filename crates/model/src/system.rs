@@ -1228,9 +1228,14 @@ impl SystemState {
                 .expect("fetch of unmapped address");
             (entry.instr.clone(), entry.sem.clone(), entry.fp.clone())
         };
+        let limit = crate::thread::instance_id_limit(self.params.max_instances_per_thread);
         let th = self.thread_mut(tid);
         let id = th.next_id;
         th.next_id += 1;
+        debug_assert!(
+            th.next_id <= limit,
+            "thread {tid} allocated more instance ids than instance_id_limit allows"
+        );
         let inst = InstrInstance {
             id,
             parent,

@@ -720,11 +720,10 @@ fn coww_final_value() {
     assert_eq!(vals, vec![2], "CoWW final value must be the po-later write");
 }
 
-/// 2+2W: with no barriers the final values can be either order per
-/// location.
-#[test]
-fn two_plus_two_w() {
-    let s = sys(
+/// The 2+2W system (two threads writing both locations in opposite
+/// orders) under default parameters.
+pub(crate) fn two_plus_two_w_system() -> SystemState {
+    sys(
         &[
             (
                 &["stw r7,0(r1)", "stw r8,0(r2)"],
@@ -737,7 +736,14 @@ fn two_plus_two_w() {
         ],
         &[],
         ModelParams::default(),
-    );
+    )
+}
+
+/// 2+2W: with no barriers the final values can be either order per
+/// location.
+#[test]
+fn two_plus_two_w() {
+    let s = two_plus_two_w_system();
     let out = explore(&s, &[], &[(X, 4), (Y, 4)]);
     let pairs: std::collections::BTreeSet<(u64, u64)> = out
         .finals

@@ -26,6 +26,24 @@ use std::sync::Arc;
 /// they double as direct indices into the thread's [`InstanceArena`].
 pub type InstanceId = usize;
 
+/// The most instance ids one thread can allocate when at most
+/// `max_live` instances are live at once
+/// ([`crate::ModelParams::max_instances_per_thread`]): `(max_live + 1)²`.
+///
+/// Ids are allocated only by fetches, so `next_id` is the live instances
+/// plus the removed ones. Only a finishing instruction removes any — the
+/// untaken subtrees of a branch — and at most the live count, `max_live`,
+/// each time; a finished instance is never removed (nothing below an
+/// unfinished branch can finish), so at most `max_live` finishes ever
+/// remove anything. Hence `next_id ≤ max_live + max_live²`. The codec
+/// rejects a record whose `next_id` exceeds this, so an untrusted id
+/// cannot size an arena past what the exploration itself could reach.
+#[must_use]
+pub fn instance_id_limit(max_live: usize) -> usize {
+    let m = max_live.max(1).saturating_add(1);
+    m.saturating_mul(m)
+}
+
 /// A dense arena of instruction instances, indexed by [`InstanceId`].
 ///
 /// Instance ids are allocated densely from zero, so the arena is a plain
