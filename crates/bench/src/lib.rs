@@ -1,9 +1,10 @@
 //! Experiment harnesses regenerating the paper's evaluation artifacts
 //! (see `DESIGN.md` §6 and `EXPERIMENTS.md`):
 //!
-//! - `litmus_table` (E2/E3): the concurrent validation table — every
+//! - `conformance` (E2/E3): the concurrent validation table — every
 //!   library and generated litmus test run exhaustively, model verdict
-//!   vs. paper/hardware expectation;
+//!   vs. paper/hardware expectation (`--paper-only` for the six §2
+//!   tests);
 //! - `seq_conformance` (E1): the sequential differential test run;
 //! - `isa_inventory` (E6): the coverage counts vs. the paper's §4.1;
 //! - `statespace` (E5): state/transition counts and timing per test;

@@ -1,6 +1,6 @@
 //! Litmus frontend tests: parsing, condition evaluation, and a fast
 //! subset of the library run end-to-end (the full suite runs in the
-//! `litmus_table` experiment binary).
+//! `conformance` binary).
 
 use crate::cond::{CondAtom, CondExpr, Quantifier};
 use crate::test::Expectation;

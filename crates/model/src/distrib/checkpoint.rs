@@ -4,9 +4,9 @@
 use super::msg::{
     decode_failed, decode_finals, decode_frame_records, decode_stats, decode_visited_entries,
     encode_finals, encode_frame_records, encode_stats, encode_visited_entries, FrameRecord,
-    VisitedEntry,
 };
 use crate::oracle::{ExplorationStats, FinalState};
+use crate::store::VisitedEntry;
 use ppc_bits::{DecodeError, Reader, Writer};
 use std::collections::BTreeSet;
 use std::io;

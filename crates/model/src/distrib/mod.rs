@@ -83,9 +83,10 @@
 //!   counts and finals are unchanged.
 //! - **Receiver.** A frame record leads with its digest and the record
 //!   body leads with the search metadata, so the owner parses that
-//!   prefix, asks its visited set ([`crate::oracle`]'s
-//!   `DfsFrontier::admit_key`, the same admission every depth-first
-//!   engine ends in), and decodes the state bytes — most of what a
+//!   prefix, asks its visited set
+//!   ([`crate::store::StateStore::admit`], the one admission every
+//!   engine ends in, digest-only or sleep-set), and decodes the state
+//!   bytes — most of what a
 //!   frame costs the codec — only when the answer is yes. A
 //!   rejected record still counts as `received`: the probe invariant
 //!   below compares frames, not admissions. An *admitted* record whose
@@ -189,9 +190,10 @@ mod msg;
 mod probe;
 mod worker;
 
+pub use crate::store::VisitedEntry;
 pub use checkpoint::{load_checkpoint, save_checkpoint, Checkpoint};
 pub use coordinator::{coordinate, CoordinatorConfig, DistribOutcome};
-pub use msg::{decode_params, encode_params, read_blob, write_blob, FrameRecord, VisitedEntry};
+pub use msg::{decode_params, encode_params, read_blob, write_blob, FrameRecord};
 pub use worker::{run_worker, WorkerEnv};
 
 /// Frames buffered per destination shard before a Route is sent.

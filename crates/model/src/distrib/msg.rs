@@ -6,8 +6,8 @@
 
 use crate::net::{is_timeout, Conn};
 use crate::oracle::{ExplorationStats, FinalState};
-use crate::state_codec::{decode_transition, encode_transition};
-use crate::system::Transition;
+use crate::state_codec::{decode_transition_set, encode_transition_set};
+use crate::store::VisitedEntry;
 use crate::types::{ModelParams, ThreadId};
 use ppc_bits::framed::{self, Receiver, Sender};
 use ppc_bits::{Bv, DecodeError, Reader, Writer};
@@ -46,15 +46,6 @@ pub struct FrameRecord {
     pub digest: u64,
     /// [`crate::store`] frame-record bytes (metadata + canonical state).
     pub bytes: Vec<u8>,
-}
-
-/// One visited-set entry in a dump/checkpoint: the digest plus, in
-/// reduced mode, the sleep set it was last explored with (empty
-/// unreduced).
-#[derive(Clone, Debug)]
-pub struct VisitedEntry {
-    pub digest: u64,
-    pub sleep: Vec<Transition>,
 }
 
 /// A worker's final report: its share of the statistics and finals,
@@ -161,10 +152,7 @@ pub(super) fn encode_visited_entries(w: &mut Writer, entries: &[VisitedEntry]) {
     w.usizev(entries.len());
     for e in entries {
         w.bytes(&e.digest.to_le_bytes());
-        w.usizev(e.sleep.len());
-        for t in &e.sleep {
-            encode_transition(w, t);
-        }
+        encode_transition_set(w, &e.sleep);
     }
 }
 
@@ -173,11 +161,7 @@ pub(super) fn decode_visited_entries(r: &mut Reader<'_>) -> Result<Vec<VisitedEn
     let mut out = Vec::with_capacity(n.min(65536));
     for _ in 0..n {
         let digest = u64::from_le_bytes(r.bytes(8)?.try_into().expect("8 bytes"));
-        let k = r.usizev()?;
-        let mut sleep = Vec::with_capacity(k.min(1024));
-        for _ in 0..k {
-            sleep.push(decode_transition(r)?);
-        }
+        let sleep = decode_transition_set(r)?;
         out.push(VisitedEntry { digest, sleep });
     }
     Ok(out)

@@ -1,15 +1,20 @@
 use super::msg::{
-    decode_msg, encode_msg, recv_msg, send_msg, FrameRecord, Msg, VisitedEntry, WorkerDump,
-    WorkerResult, MAX_BLOB,
+    decode_msg, encode_msg, recv_msg, send_msg, FrameRecord, Msg, WorkerDump, WorkerResult,
+    MAX_BLOB,
 };
 use super::probe::{ProbeTracker, ProbeVerdict, PROBE_PACE, PROBE_PACE_CAP};
 use super::worker::{SentTable, SENT_SLOTS};
-use super::{decode_params, encode_params, run_worker, shard_of, WorkerEnv};
+use super::{
+    decode_params, encode_params, load_checkpoint, run_worker, save_checkpoint, shard_of,
+    Checkpoint, WorkerEnv,
+};
 use crate::net::{Conn, NetParams};
 use crate::oracle::{ExplorationStats, Frame};
-use crate::state_codec::CodecCtx;
-use crate::store::{decode_frame, decode_frame_meta, encode_frame};
+use crate::state_codec::{encode_transition, CodecCtx};
+use crate::store::{decode_frame, decode_frame_meta, encode_frame, VisitedEntry};
+use crate::system::{SystemState, Transition};
 use crate::tests::sb_system;
+use crate::thread::ThreadTransition;
 use crate::types::ModelParams;
 use ppc_bits::framed::{Receiver, Sender};
 use ppc_bits::{Prng, Reader, Writer};
@@ -338,7 +343,7 @@ fn sent_table_forgets_but_never_invents() {
 
 /// The coordinator's end of one worker link, driven by hand: a
 /// [`run_worker`] thread on the other end of a socket pair, exploring SB
-/// as the shard that owns the root.
+/// (`initial`) as the shard that owns the root.
 struct ScriptedLink {
     sock: UnixStream,
     tx: Sender,
@@ -352,8 +357,7 @@ struct ScriptedLink {
 }
 
 impl ScriptedLink {
-    fn start() -> ScriptedLink {
-        let initial = sb_system();
+    fn start(initial: SystemState) -> ScriptedLink {
         let ctx = CodecCtx::new(initial.program.clone(), initial.params.clone());
         let root = FrameRecord {
             digest: initial.digest(),
@@ -361,6 +365,10 @@ impl ScriptedLink {
         };
         let shard = shard_of(root.digest, 2);
         let (ours, theirs) = UnixStream::pair().expect("socket pair");
+        // A worker thread that panics leaves its reader's end of the
+        // pair open: fail the test instead of waiting forever.
+        ours.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .expect("read timeout");
         let worker = std::thread::spawn(move || {
             let env = WorkerEnv {
                 shard,
@@ -451,7 +459,7 @@ impl ScriptedLink {
 /// received, which is what the termination probe compares.
 #[test]
 fn worker_routes_each_digest_once_and_rejects_before_decoding() {
-    let mut link = ScriptedLink::start();
+    let mut link = ScriptedLink::start(sb_system());
     let (received, expanded) = link.settle();
     assert_eq!(received, 1, "the root");
     assert!(expanded > 1, "the root's shard-local subtree was explored");
@@ -517,7 +525,7 @@ fn worker_routes_each_digest_once_and_rejects_before_decoding() {
 #[test]
 fn corrupt_record_with_a_fresh_digest_truncates_the_run() {
     for scramble_prefix in [false, true] {
-        let mut link = ScriptedLink::start();
+        let mut link = ScriptedLink::start(sb_system());
         link.settle();
         let mut bad = link.root.clone();
         bad.digest ^= 1;
@@ -536,4 +544,85 @@ fn corrupt_record_with_a_fresh_digest_truncates_the_run() {
         let why = res.stats.store_error.expect("store_error set");
         assert!(why.contains("corrupt wire frame"), "{why}");
     }
+}
+
+/// Distinct transitions ordered by `i` (the decoders never look inside
+/// them).
+fn t(i: usize) -> Transition {
+    Transition::Thread(ThreadTransition::Finish { tid: 0, ioid: i })
+}
+
+/// Sleep sets that are not strictly increasing: out of order, and a
+/// duplicate.
+fn garbled_sleep_sets() -> [Vec<Transition>; 2] {
+    [vec![t(2), t(1)], vec![t(1), t(1)]]
+}
+
+/// A reduced worker refuses a wire record whose sleep set is not
+/// strictly increasing before it reaches admission, whose set algebra
+/// assumes sorted sets: a garbled one would shrink the stored set below
+/// the truth and lose states silently. The run ends truncated, naming
+/// the corrupt frame — no panic, in debug or release.
+#[test]
+fn sleep_sets_unsorted_wire_record_truncates_the_run() {
+    let mut reduced = sb_system();
+    reduced.params.sleep_sets = true;
+    for sleep in garbled_sleep_sets() {
+        let mut link = ScriptedLink::start(reduced.clone());
+        link.settle();
+        // The root's state bytes behind a fresh digest and a prefix
+        // (no switches, no actor) carrying the garbled sleep set.
+        let (_, state) = decode_frame_meta(&link.root.bytes).expect("root prefix");
+        let mut w = Writer::new();
+        w.u64v(0);
+        w.byte(0);
+        w.usizev(sleep.len());
+        for t in &sleep {
+            encode_transition(&mut w, t);
+        }
+        w.usizev(0);
+        w.bytes(state);
+        let bad = FrameRecord {
+            digest: link.root.digest ^ 1,
+            bytes: w.into_bytes(),
+        };
+        let res = link.finish(&Msg::Batch {
+            preadmitted: false,
+            frames: vec![bad],
+        });
+        assert!(
+            res.stats.truncated,
+            "{sleep:?}: corruption must never be conclusive"
+        );
+        let why = res.stats.store_error.expect("store_error set");
+        assert!(why.contains("corrupt wire frame"), "{why}");
+    }
+}
+
+/// A checkpoint whose visited entries carry a sleep set that is not
+/// strictly increasing is refused at load, and so is a `SeedVisited`
+/// body with one: both go through the one visited-entry decoder.
+#[test]
+fn sleep_sets_unsorted_checkpoint_is_refused() {
+    let path = std::env::temp_dir().join(format!("ppcmem-unsorted-ck-{}", std::process::id()));
+    let checkpoint = |sleep: Vec<Transition>| Checkpoint {
+        job_digest: 1,
+        stats: ExplorationStats::default(),
+        finals: BTreeSet::new(),
+        visited: vec![VisitedEntry { digest: 9, sleep }],
+        frontier: Vec::new(),
+        pending: Vec::new(),
+    };
+    save_checkpoint(&path, &checkpoint(vec![t(1), t(2)])).expect("write checkpoint");
+    let loaded = load_checkpoint(&path).expect("sorted sleep sets load");
+    assert_eq!(loaded.visited, checkpoint(vec![t(1), t(2)]).visited);
+    for sleep in garbled_sleep_sets() {
+        save_checkpoint(&path, &checkpoint(sleep.clone())).expect("write checkpoint");
+        assert!(load_checkpoint(&path).is_err(), "{sleep:?} loaded");
+        let (tag, body) = encode_msg(&Msg::SeedVisited {
+            entries: checkpoint(sleep.clone()).visited,
+        });
+        assert!(decode_msg(tag, &body).is_err(), "{sleep:?} decoded");
+    }
+    let _ = std::fs::remove_file(&path);
 }

@@ -11,14 +11,13 @@
 //! bytes are decoded.
 
 use super::msg::{
-    encode_msg, send_msg, spawn_reader, FrameRecord, Msg, VisitedEntry, WorkerDump, WorkerResult,
-    MAX_BLOB,
+    encode_msg, send_msg, spawn_reader, FrameRecord, Msg, WorkerDump, WorkerResult, MAX_BLOB,
 };
 use super::{shard_of, ROUTE_BATCH};
 use crate::net::{Conn, FaultAction, FaultPlan, NetParams, SendKind};
-use crate::oracle::{expand, DfsFrontier, ExplorationStats, FinalState, Frame};
-use crate::store::{decode_frame_meta, encode_frame, StoreError};
-use crate::system::{SystemState, Transition};
+use crate::oracle::{DfsFrontier, ExplorationStats, FinalState, Frame};
+use crate::store::{decode_frame_meta, encode_frame, StateStore, StoreError};
+use crate::system::SystemState;
 use crate::types::ThreadId;
 use ppc_bits::framed::Sender;
 use ppc_idl::Reg;
@@ -108,7 +107,6 @@ struct Worker<'a> {
     sent: Option<SentTable>,
     finals: BTreeSet<FinalState>,
     stats: ExplorationStats,
-    scratch: Vec<Transition>,
     /// Batch frames consumed (the probe's `received`).
     received: u64,
     /// States expanded (the probe/beat progress counter).
@@ -135,7 +133,6 @@ impl<'a> Worker<'a> {
             sent: (!params.sleep_sets).then(|| SentTable::new(SENT_SLOTS)),
             finals: BTreeSet::new(),
             stats: ExplorationStats::default(),
-            scratch: Vec::new(),
             received: 0,
             expanded: 0,
             net,
@@ -236,34 +233,11 @@ impl<'a> Worker<'a> {
     /// Dump everything unexplored for a checkpoint: visited entries,
     /// stack + spilled frames, unflushed outbox.
     fn dump(&mut self) -> Result<WorkerDump, StoreError> {
-        let visited = match &self.frontier.sleep_map {
-            Some(map) => {
-                let mut v: Vec<VisitedEntry> = map
-                    .iter()
-                    .map(|(&digest, sleep)| VisitedEntry {
-                        digest,
-                        sleep: sleep.to_vec(),
-                    })
-                    .collect();
-                v.sort_unstable_by_key(|e| e.digest);
-                v
-            }
-            None => self
-                .frontier
-                .store
-                .visited_snapshot()?
-                .into_iter()
-                .map(|digest| VisitedEntry {
-                    digest,
-                    sleep: Vec::new(),
-                })
-                .collect(),
-        };
-        let frontier = self
-            .frontier
-            .drain()?
+        let visited = self.frontier.store.visited_entries()?;
+        let frames = self.frontier.drain()?;
+        let frontier = frames
             .iter()
-            .map(|f| self.record(f))
+            .map(|f| record(&self.frontier.store, f))
             .collect();
         let pending: Vec<FrameRecord> = self.outbox.iter_mut().flat_map(std::mem::take).collect();
         Ok(WorkerDump {
@@ -271,14 +245,6 @@ impl<'a> Worker<'a> {
             frontier,
             pending,
         })
-    }
-
-    /// The wire/checkpoint record of a frame.
-    fn record(&self, frame: &Frame) -> FrameRecord {
-        FrameRecord {
-            digest: frame.state.digest(),
-            bytes: encode_frame(self.frontier.store.ctx(), frame),
-        }
     }
 
     fn run(mut self) -> io::Result<()> {
@@ -332,7 +298,7 @@ impl<'a> Worker<'a> {
                             // pause (its digest is in the seeded visited
                             // set), so admission would wrongly reject it.
                             if !preadmitted {
-                                match self.frontier.admit_key(rec.digest, &meta.sleep) {
+                                match self.frontier.store.admit(rec.digest, &meta.sleep) {
                                     Ok(Some(wake)) => meta.wake = wake,
                                     Ok(None) => continue,
                                     Err(e) => return self.finish_failed(&e.to_string()),
@@ -354,15 +320,8 @@ impl<'a> Worker<'a> {
                     }
                     Msg::SeedVisited { entries } => {
                         for e in entries {
-                            match &mut self.frontier.sleep_map {
-                                Some(map) => {
-                                    map.insert(e.digest, e.sleep.into_boxed_slice());
-                                }
-                                None => {
-                                    if let Err(err) = self.frontier.store.insert_visited(e.digest) {
-                                        return self.finish_failed(&err.to_string());
-                                    }
-                                }
+                            if let Err(err) = self.frontier.store.seed(e) {
+                                return self.finish_failed(&err.to_string());
                             }
                         }
                     }
@@ -408,9 +367,9 @@ impl<'a> Worker<'a> {
                 continue;
             }
 
-            // No message pending: expand one frame, exactly as the
-            // sequential engine does, except that successors owned by
-            // another shard are routed instead of admitted.
+            // No message pending: one step of the sequential engine,
+            // except that successors owned by another shard are routed
+            // instead of admitted.
             let frame = match self.frontier.pop() {
                 Ok(Some(f)) => f,
                 Ok(None) => continue,
@@ -425,48 +384,37 @@ impl<'a> Worker<'a> {
             {
                 std::process::abort();
             }
-            let exp = expand(
+            let (shard, n_shards) = (self.env.shard, self.env.n_shards);
+            let (outbox, sent) = (&mut self.outbox, &mut self.sent);
+            // Route batches that filled up during the step, in order.
+            let mut full = Vec::new();
+            let stepped = self.frontier.step(
                 &frame,
                 self.env.reg_obs,
                 self.env.mem_obs,
                 &mut self.finals,
-                &mut self.scratch,
-                &mut self.frontier.memo,
-            );
-            self.stats.bounded |= exp.bounded_hit;
-            if exp.is_final {
-                self.stats.final_hits += 1;
-            } else {
-                self.stats.transitions += exp.transitions;
-                for mut next in exp.succs {
+                &mut self.stats,
+                |store, next| {
                     let digest = next.state.digest();
-                    let owner = shard_of(digest, self.env.n_shards);
-                    if owner == self.env.shard {
-                        match self.frontier.admit(&mut next) {
-                            Ok(true) => self.frontier.push(next),
-                            Ok(false) => {}
-                            Err(e) => return self.finish_failed(&e.to_string()),
-                        }
-                    } else if self
-                        .sent
-                        .as_mut()
-                        .is_some_and(|sent| sent.check_and_insert(digest))
-                    {
-                        // Already routed: the owner has it, or will.
-                    } else {
-                        let rec = self.record(&next);
-                        self.outbox[owner].push(rec);
-                        if self.outbox[owner].len() >= ROUTE_BATCH {
-                            let frames = std::mem::take(&mut self.outbox[owner]);
-                            self.send(&Msg::Route {
-                                dest: owner,
-                                frames,
-                            })?;
-                        }
+                    let owner = shard_of(digest, n_shards);
+                    if owner == shard {
+                        return true;
                     }
-                }
+                    // Already routed: the owner has it, or will.
+                    if sent.as_mut().is_some_and(|s| s.check_and_insert(digest)) {
+                        return false;
+                    }
+                    outbox[owner].push(record(store, next));
+                    if outbox[owner].len() >= ROUTE_BATCH {
+                        full.push((owner, std::mem::take(&mut outbox[owner])));
+                    }
+                    false
+                },
+            );
+            for (dest, frames) in full {
+                self.send(&Msg::Route { dest, frames })?;
             }
-            if let Err(e) = self.frontier.spill_excess() {
+            if let Err(e) = stepped {
                 return self.finish_failed(&e.to_string());
             }
             if self.expanded.is_multiple_of(BEAT_PERIOD) {
@@ -475,5 +423,14 @@ impl<'a> Worker<'a> {
                 })?;
             }
         }
+    }
+}
+
+/// The wire/checkpoint record of a frame, encoded through the worker's
+/// one codec context.
+fn record(store: &StateStore, frame: &Frame) -> FrameRecord {
+    FrameRecord {
+        digest: frame.state.digest(),
+        bytes: encode_frame(store.ctx(), frame),
     }
 }

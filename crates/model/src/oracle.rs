@@ -857,99 +857,11 @@ fn audit_hit(state: &SystemState, t: &Transition, w: u64, succ: &SystemState) {
     );
 }
 
-/// The per-state sleep-set memo driving reduced-mode deduplication: for
-/// every state reached so far, the sleep set it was (last) explored
-/// with. In reduced mode this *replaces* the digest-only visited set —
-/// admission needs the stored set, and a state must be *re*-explored
-/// when it is reached again with a strictly less restrictive sleep set
-/// (else outcomes only reachable through its sleeping transitions would
-/// be lost).
-pub(crate) type SleepMap = std::collections::HashMap<u64, Box<[Transition]>>;
-
-/// Admit a frame into the reduced search. Returns `None` to prune, or
-/// `Some(wake)` — the wake-up restriction for the visit:
-///
-/// - first arrival: admitted unrestricted (`wake` empty — every
-///   non-slept transition is expanded) and the sleep set is stored;
-/// - re-arrival whose sleep set covers the stored one: pruned — the
-///   earlier visit already expanded at least as much;
-/// - re-arrival whose sleep set *misses* some stored members: those
-///   members (`stored \ sleep`) were slept on every earlier visit but
-///   must be explored under this arrival's pruning argument — the visit
-///   is admitted restricted to exactly them (everything else was
-///   expanded before), and the stored set shrinks to the intersection.
-///   The shrink is strict, so each state re-explores at most
-///   `|enabled|` times — termination.
-fn reduced_admit(map: &mut SleepMap, digest: u64, sleep: &[Transition]) -> Option<Vec<Transition>> {
-    debug_assert!(sleep.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
-    match map.entry(digest) {
-        std::collections::hash_map::Entry::Vacant(v) => {
-            v.insert(sleep.into());
-            Some(Vec::new())
-        }
-        std::collections::hash_map::Entry::Occupied(mut o) => {
-            let wake = sorted_diff(o.get(), sleep);
-            if wake.is_empty() {
-                return None;
-            }
-            o.insert(sorted_intersect(sleep, o.get()).into_boxed_slice());
-            Some(wake)
-        }
-    }
-}
-
-impl Frame {
-    /// Take an admission verdict (`None` = pruned): an admitted frame
-    /// carries the visit's wake-up restriction with it.
-    fn take_verdict(&mut self, verdict: Option<Vec<Transition>>) -> bool {
-        match verdict {
-            None => false,
-            Some(wake) => {
-                self.wake = wake;
-                true
-            }
-        }
-    }
-}
-
-/// The elements of sorted `a` not in sorted `b`, sorted.
-fn sorted_diff(a: &[Transition], b: &[Transition]) -> Vec<Transition> {
-    let mut out = Vec::new();
-    let mut j = 0;
-    for x in a {
-        while j < b.len() && b[j] < *x {
-            j += 1;
-        }
-        if j >= b.len() || b[j] != *x {
-            out.push(*x);
-        }
-    }
-    out
-}
-
-/// The intersection of two sorted transition slices, sorted.
-fn sorted_intersect(a: &[Transition], b: &[Transition]) -> Vec<Transition> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 /// The depth-first frontier of one exploring process — what the
 /// sequential engine and each distributed worker ([`crate::distrib`])
-/// drive: the admission filter, the in-memory stack of unexpanded
-/// frames, the stack's disk half, and the successor memo its expansions
-/// go through.
+/// drive: the in-memory stack of unexpanded frames, the stack's disk
+/// half, and the successor memo its expansions go through, with
+/// [`DfsFrontier::step`] the one expand → admit → spill body both run.
 ///
 /// The visited set and spilled frames live in a [`StateStore`]: fully
 /// in memory when [`ModelParams::max_resident_states`] is `0`, spilling
@@ -960,13 +872,10 @@ fn sorted_intersect(a: &[Transition], b: &[Transition]) -> Vec<Transition> {
 /// in both modes.
 pub(crate) struct DfsFrontier {
     pub(crate) store: StateStore,
-    /// Reduced mode ([`ModelParams::sleep_sets`]) replaces the store's
-    /// digest-only visited set with the sleep memo: admission needs the
-    /// stored sleep set, and spilling digests to cold runs would lose
-    /// it. `None` unreduced. The frontier's disk half is shared.
-    pub(crate) sleep_map: Option<SleepMap>,
     /// The [`expand`] memo of this frontier's one exploring thread.
-    pub(crate) memo: SuccMemo,
+    memo: SuccMemo,
+    /// The transition buffer [`expand`] rebuilds for every state.
+    scratch: Vec<Transition>,
     stack: Vec<Frame>,
 }
 
@@ -975,35 +884,45 @@ impl DfsFrontier {
     pub(crate) fn new(initial: &SystemState) -> Self {
         DfsFrontier {
             store: StateStore::new(initial.program.clone(), &initial.params, 1),
-            sleep_map: initial.params.sleep_sets.then(SleepMap::new),
             memo: SuccMemo::new(),
+            scratch: Vec::new(),
             stack: Vec::new(),
         }
     }
 
-    /// Decide whether a state enters the search, from its admission key
-    /// alone: the visited-set insertion on `digest` in unreduced mode
-    /// (`sleep` is ignored), [`reduced_admit`] on `digest` and the
-    /// arrival's `sleep` set in reduced mode. `None` prunes; `Some(wake)`
-    /// admits, restricted to the wake-up list on a reduced re-visit
-    /// (always empty unreduced). Needing no decoded state, this is what
-    /// a distributed worker asks *before* it decodes a received frame.
-    pub(crate) fn admit_key(
+    /// Expand a popped frame and file what it yields: its counts go to
+    /// `stats` and its final states to `finals`; each successor is shown
+    /// to `route` first, and one that `route` calls local is admitted
+    /// ([`StateStore::admit_frame`]) and pushed; then the excess spills.
+    /// The sequential engine's `route` calls every successor local, a
+    /// distributed worker's routes those another shard owns. The budget,
+    /// deadline and messaging around a step are the caller's.
+    pub(crate) fn step(
         &mut self,
-        digest: u64,
-        sleep: &[Transition],
-    ) -> Result<Option<Vec<Transition>>, StoreError> {
-        match &mut self.sleep_map {
-            None => Ok(self.store.insert_visited(digest)?.then(Vec::new)),
-            Some(map) => Ok(reduced_admit(map, digest, sleep)),
+        frame: &Frame,
+        reg_obs: &[(ThreadId, Reg)],
+        mem_obs: &[(u64, usize)],
+        finals: &mut BTreeSet<FinalState>,
+        stats: &mut ExplorationStats,
+        mut route: impl FnMut(&StateStore, &Frame) -> bool,
+    ) -> Result<(), StoreError> {
+        let exp = expand(
+            frame,
+            reg_obs,
+            mem_obs,
+            finals,
+            &mut self.scratch,
+            &mut self.memo,
+        );
+        stats.bounded |= exp.bounded_hit;
+        stats.final_hits += usize::from(exp.is_final);
+        stats.transitions += exp.transitions;
+        for mut next in exp.succs {
+            if route(&self.store, &next) && self.store.admit_frame(&mut next)? {
+                self.push(next);
+            }
         }
-    }
-
-    /// [`DfsFrontier::admit_key`] for a frame in hand. The caller
-    /// [`DfsFrontier::push`]es an admitted frame.
-    pub(crate) fn admit(&mut self, frame: &mut Frame) -> Result<bool, StoreError> {
-        let verdict = self.admit_key(frame.state.digest(), &frame.sleep)?;
-        Ok(frame.take_verdict(verdict))
+        self.spill_excess()
     }
 
     /// Put an admitted frame on top of the stack.
@@ -1076,12 +995,12 @@ fn explore_seq(
     };
     let mut stats = ExplorationStats::default();
     let mut finals = BTreeSet::new();
-    let mut scratch = Vec::new();
     let mut root = Frame::root(initial.clone());
     // The store is empty: the root admission touches only the hot set,
     // so no I/O can fail here.
     let admitted = frontier
-        .admit(&mut root)
+        .store
+        .admit_frame(&mut root)
         .expect("root insert into an empty store cannot touch disk");
     debug_assert!(admitted, "the root always enters an empty frontier");
     frontier.push(root);
@@ -1101,26 +1020,9 @@ fn explore_seq(
                     }
                 }
             }
-            let exp = expand(
-                &frame,
-                reg_obs,
-                mem_obs,
-                &mut finals,
-                &mut scratch,
-                &mut frontier.memo,
-            );
-            stats.bounded |= exp.bounded_hit;
-            if exp.is_final {
-                stats.final_hits += 1;
-                continue;
-            }
-            stats.transitions += exp.transitions;
-            for mut next in exp.succs {
-                if frontier.admit(&mut next)? {
-                    frontier.push(next);
-                }
-            }
-            frontier.spill_excess()?;
+            frontier.step(&frame, reg_obs, mem_obs, &mut finals, &mut stats, |_, _| {
+                true
+            })?;
         }
         Ok(())
     };
@@ -1181,7 +1083,8 @@ struct StealPool<'a> {
     truncated: AtomicBool,
     /// The two-tier store: the digest-sharded visited set (exactly one
     /// worker wins the insertion race for each new state, so each
-    /// reachable state is expanded exactly once) plus the frontier's
+    /// reachable state is expanded exactly once; reduced, the shards'
+    /// sleep tables serialise same-digest arrivals) plus the frontier's
     /// disk half. When the resident budget is crossed, freshly published
     /// successors are serialised to segment files instead of entering a
     /// deque; dry workers read segments back in batches. Spilled states
@@ -1191,11 +1094,6 @@ struct StealPool<'a> {
     limits: &'a ExploreLimits,
     /// States a thief moves per steal ([`ModelParams::steal_batch`]).
     steal_batch: usize,
-    /// Reduced mode's sharded sleep memo (see [`SleepMap`]), replacing
-    /// the store's digest-only visited set; `None` when
-    /// [`ModelParams::sleep_sets`] is off. One lock per
-    /// low-digest-bits shard, like the visited set itself.
-    sleep: Option<Vec<Mutex<SleepMap>>>,
     /// Whether any worker's expansion hit the context-switch bound.
     bounded: AtomicBool,
     /// First spill-store failure observed by any worker (the stop it
@@ -1254,26 +1152,6 @@ impl StealPool<'_> {
             .expect("deque poisoned")
             .extend(states);
         Ok(self.pop_local(me))
-    }
-
-    /// Decide whether `frame` enters the frontier: the visited-set
-    /// insertion race in unreduced mode, [`reduced_admit`] against the
-    /// digest's sleep shard in reduced mode (possibly restricting the
-    /// frame to a wake-up list on a re-visit). Same-digest arrivals
-    /// serialise on the shard lock, so the reduced admission is
-    /// race-free.
-    fn admit(&self, frame: &mut Frame) -> Result<bool, StoreError> {
-        match &self.sleep {
-            None => self.store.insert_visited(frame.state.digest()),
-            Some(shards) => {
-                let digest = frame.state.digest();
-                let mut map = shards[(digest & (shards.len() as u64 - 1)) as usize]
-                    .lock()
-                    .expect("sleep shard poisoned");
-                let verdict = reduced_admit(&mut map, digest, &frame.sleep);
-                Ok(frame.take_verdict(verdict))
-            }
-        }
     }
 
     /// Record a truncation (budget or deadline) and tell every worker to
@@ -1415,7 +1293,7 @@ fn steal_worker(
         let mut fresh: Vec<Frame> = Vec::with_capacity(exp.succs.len());
         let mut failed = false;
         for mut next in exp.succs {
-            match pool.admit(&mut next) {
+            match pool.store.admit_frame(&mut next) {
                 Ok(true) => fresh.push(next),
                 Ok(false) => {}
                 Err(e) => {
@@ -1484,17 +1362,13 @@ fn explore_par(
         store: &store,
         limits,
         steal_batch: initial.params.effective_steal_batch(),
-        sleep: initial.params.sleep_sets.then(|| {
-            let n = (threads.max(1) * 16).next_power_of_two();
-            (0..n).map(|_| Mutex::new(SleepMap::new())).collect()
-        }),
         bounded: AtomicBool::new(false),
         store_error: Mutex::new(None),
     };
     let mut root = Frame::root(initial.clone());
     // The store is empty, so the root admission cannot touch disk.
-    let admitted = pool
-        .admit(&mut root)
+    let admitted = store
+        .admit_frame(&mut root)
         .expect("root insert into an empty store cannot touch disk");
     debug_assert!(admitted, "the root always enters an empty frontier");
     pool.store.note_enqueued(1);

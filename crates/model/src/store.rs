@@ -17,6 +17,11 @@
 //!   set is at least a quarter of the run, so total write amplification
 //!   stays logarithmic). Membership stays *exact* — a false "new" would
 //!   change visited-state counts, a false "seen" would drop states.
+//!   Under [`ModelParams::sleep_sets`] the same shards hold the sleep
+//!   table instead — each visited digest with the sleep set it was
+//!   explored with — which stays resident: a cold run keeps digests
+//!   only. [`StateStore::admit`] is every engine's one admission, in
+//!   either mode.
 //! - **Frontier segments**: overflow states are serialised through the
 //!   canonical [`crate::state_codec`] into length-prefixed segment
 //!   files (newest segment read back first, preserving the search's
@@ -47,16 +52,16 @@
 //! exploration).
 
 use crate::oracle::{Actor, Frame};
-use crate::state_codec::{decode_transition, encode_transition, CodecCtx, MemoStats};
+use crate::state_codec::{decode_transition_set, encode_transition_set, CodecCtx, MemoStats};
 use crate::system::{Program, SystemState, Transition};
 use crate::types::ModelParams;
 use ppc_bits::{framed, DecodeError, Reader, SortedRun, Writer};
-use std::collections::HashSet;
+use std::collections::{hash_map, HashMap, HashSet};
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Minimum hot digests per shard before any flush is considered, even
 /// under tiny budgets (digests are ~100× smaller than states, so the
@@ -137,11 +142,32 @@ pub fn create_unique_temp_dir(prefix: &str) -> io::Result<PathBuf> {
     }
 }
 
+/// One visited-set entry as a dump, a checkpoint or a resume seed
+/// carries it: the digest plus, in reduced mode, the sleep set it was
+/// last explored with (empty unreduced).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct VisitedEntry {
+    pub digest: u64,
+    pub sleep: Vec<Transition>,
+}
+
+/// Reduced mode's visited set ([`ModelParams::sleep_sets`]): every state
+/// reached so far, by digest, with the sleep set it was (last) explored
+/// with.
+type SleepTable = HashMap<u64, Box<[Transition]>>;
+
 /// One shard of the visited set: exact membership over a hot in-memory
-/// set plus at most one cold sorted run on disk.
+/// set plus at most one cold sorted run on disk — or, reduced, the
+/// sleep table.
 struct VisitedShard {
     hot: HashSet<u64>,
     cold: Option<ColdRun>,
+    /// Admission reads the stored sleep set, and a state must be
+    /// *re*-explored when it comes back with a strictly less restrictive
+    /// one (else outcomes only reachable through its sleeping
+    /// transitions would be lost), so reduced this replaces `hot` and
+    /// `cold`. Empty unreduced.
+    sleep: SleepTable,
 }
 
 /// A shard's sorted run of digests, in a temp file it deletes on drop.
@@ -232,6 +258,7 @@ impl StateStore {
                     Mutex::new(VisitedShard {
                         hot: HashSet::new(),
                         cold: None,
+                        sleep: SleepTable::new(),
                     })
                 })
                 .collect(),
@@ -298,12 +325,92 @@ impl StateStore {
 
     // ---- visited set ---------------------------------------------------
 
+    /// The visited shard `digest` belongs to, locked.
+    fn shard(&self, digest: u64) -> MutexGuard<'_, VisitedShard> {
+        self.shards[(digest & self.mask) as usize]
+            .lock()
+            .expect("visited shard poisoned")
+    }
+
+    /// Decide whether a state enters the search, from its digest and the
+    /// sleep set it arrives with: every engine's one admission. `None`
+    /// prunes; `Some(wake)` admits, restricted to the wake-up list on a
+    /// reduced re-visit (always empty unreduced). Unreduced this is
+    /// [`StateStore::insert_visited`] and `sleep` is ignored; under
+    /// [`ModelParams::sleep_sets`] it is [`reduced_admit`] on the
+    /// digest's shard, whose lock serialises same-digest arrivals, so
+    /// concurrent admissions are race-free. Needing no decoded state,
+    /// this is also what a distributed worker asks *before* it decodes a
+    /// received frame.
+    pub fn admit(
+        &self,
+        digest: u64,
+        sleep: &[Transition],
+    ) -> Result<Option<Vec<Transition>>, StoreError> {
+        if !self.params.sleep_sets {
+            return Ok(self.insert_visited(digest)?.then(Vec::new));
+        }
+        Ok(reduced_admit(&mut self.shard(digest).sleep, digest, sleep))
+    }
+
+    /// [`StateStore::admit`] for a frame in hand: an admitted frame takes
+    /// the visit's wake-up restriction with it; `Ok(false)` prunes.
+    pub fn admit_frame(&self, frame: &mut Frame) -> Result<bool, StoreError> {
+        let Some(wake) = self.admit(frame.state.digest(), &frame.sleep)? else {
+            return Ok(false);
+        };
+        frame.wake = wake;
+        Ok(true)
+    }
+
+    /// Put one entry of a dump back into the visited set (resume
+    /// seeding): the digest and, reduced, the sleep set it was explored
+    /// with.
+    pub fn seed(&self, entry: VisitedEntry) -> Result<(), StoreError> {
+        if self.params.sleep_sets {
+            let sleep = entry.sleep.into_boxed_slice();
+            self.shard(entry.digest).sleep.insert(entry.digest, sleep);
+        } else {
+            self.insert_visited(entry.digest)?;
+        }
+        Ok(())
+    }
+
+    /// Every entry of the visited set — the hot ∪ cold digests with
+    /// empty sleep sets unreduced, the sleep table reduced — sorted by
+    /// digest. This is the checkpoint/dump view of the visited set; the
+    /// exploration must be quiescent while it runs.
+    pub fn visited_entries(&self) -> Result<Vec<VisitedEntry>, StoreError> {
+        let digest_only = |digest| VisitedEntry {
+            digest,
+            sleep: Vec::new(),
+        };
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            let mut s = shard.lock().expect("visited shard poisoned");
+            out.extend(s.hot.iter().copied().map(digest_only));
+            out.extend(s.sleep.iter().map(|(&digest, sleep)| VisitedEntry {
+                digest,
+                sleep: sleep.to_vec(),
+            }));
+            if let Some(cold) = &mut s.cold {
+                cold.run
+                    .for_each(|digest| {
+                        out.push(digest_only(u64::from_le_bytes(*digest)));
+                        Ok(())
+                    })
+                    .map_err(io_err("read visited run"))?;
+            }
+        }
+        out.sort_unstable_by_key(|e| e.digest);
+        Ok(out)
+    }
+
     /// Insert a digest into the visited set; `Ok(true)` iff it was new.
     /// Exact regardless of spilling: the hot set and the cold run are
-    /// both consulted before inserting.
+    /// both consulted before inserting. This is unreduced admission.
     pub fn insert_visited(&self, digest: u64) -> Result<bool, StoreError> {
-        let shard = &self.shards[(digest & self.mask) as usize];
-        let mut s = shard.lock().expect("visited shard poisoned");
+        let mut s = self.shard(digest);
         if s.hot.contains(&digest) {
             return Ok(false);
         }
@@ -323,27 +430,6 @@ impl StateStore {
             self.flush_shard(&mut s)?;
         }
         Ok(true)
-    }
-
-    /// Every digest currently in the visited set (hot ∪ cold across all
-    /// shards), sorted. This is the checkpoint/dump view of the visited
-    /// set; the exploration must be quiescent while it runs.
-    pub fn visited_snapshot(&self) -> Result<Vec<u64>, StoreError> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let mut s = shard.lock().expect("visited shard poisoned");
-            out.extend(s.hot.iter().copied());
-            if let Some(cold) = &mut s.cold {
-                cold.run
-                    .for_each(|digest| {
-                        out.push(u64::from_le_bytes(*digest));
-                        Ok(())
-                    })
-                    .map_err(io_err("read visited run"))?;
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
     }
 
     /// Merge a shard's hot set and cold run into a fresh sorted run.
@@ -515,6 +601,78 @@ impl StateStore {
     }
 }
 
+// ---- reduced-mode admission ---------------------------------------------
+
+/// Admit a frame into the reduced search against the sleep table of its
+/// digest's shard. Returns `None` to prune, or `Some(wake)` — the
+/// wake-up restriction for the visit:
+///
+/// - first arrival: admitted unrestricted (`wake` empty — every
+///   non-slept transition is expanded) and the sleep set is stored;
+/// - re-arrival whose sleep set covers the stored one: pruned — the
+///   earlier visit already expanded at least as much;
+/// - re-arrival whose sleep set *misses* some stored members: those
+///   members (`stored \ sleep`) were slept on every earlier visit but
+///   must be explored under this arrival's pruning argument — the visit
+///   is admitted restricted to exactly them (everything else was
+///   expanded before), and the stored set shrinks to the intersection.
+///   The shrink is strict, so each state re-explores at most
+///   `|enabled|` times — termination.
+fn reduced_admit(
+    table: &mut SleepTable,
+    digest: u64,
+    sleep: &[Transition],
+) -> Option<Vec<Transition>> {
+    debug_assert!(sleep.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
+    match table.entry(digest) {
+        hash_map::Entry::Vacant(v) => {
+            v.insert(sleep.into());
+            Some(Vec::new())
+        }
+        hash_map::Entry::Occupied(mut o) => {
+            let wake = sorted_diff(o.get(), sleep);
+            if wake.is_empty() {
+                return None;
+            }
+            o.insert(sorted_intersect(sleep, o.get()).into_boxed_slice());
+            Some(wake)
+        }
+    }
+}
+
+/// The elements of sorted `a` not in sorted `b`, sorted.
+fn sorted_diff(a: &[Transition], b: &[Transition]) -> Vec<Transition> {
+    let mut out = Vec::new();
+    let mut j = 0;
+    for x in a {
+        while j < b.len() && b[j] < *x {
+            j += 1;
+        }
+        if j >= b.len() || b[j] != *x {
+            out.push(*x);
+        }
+    }
+    out
+}
+
+/// The intersection of two sorted transition slices, sorted.
+fn sorted_intersect(a: &[Transition], b: &[Transition]) -> Vec<Transition> {
+    let mut out = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out
+}
+
 // ---- frame record codec ------------------------------------------------
 
 /// One frontier-frame record's payload: the frame metadata (switch
@@ -534,14 +692,8 @@ pub(crate) fn encode_frame(ctx: &CodecCtx, f: &Frame) -> Vec<u8> {
             w.usizev(tid);
         }
     }
-    w.usizev(f.sleep.len());
-    for t in &f.sleep {
-        encode_transition(&mut w, t);
-    }
-    w.usizev(f.wake.len());
-    for t in &f.wake {
-        encode_transition(&mut w, t);
-    }
+    encode_transition_set(&mut w, &f.sleep);
+    encode_transition_set(&mut w, &f.wake);
     ctx.encode_into(&mut w, &f.state);
     w.into_bytes()
 }
@@ -573,7 +725,8 @@ impl FrameMeta {
 }
 
 /// Parse a frame record's metadata prefix; the second half of the pair
-/// is the canonical state bytes that follow it, undecoded.
+/// is the canonical state bytes that follow it, undecoded. A sleep or
+/// wake set that is not strictly increasing is refused as corrupt.
 pub(crate) fn decode_frame_meta(bytes: &[u8]) -> Result<(FrameMeta, &[u8]), DecodeError> {
     let mut r = Reader::new(bytes);
     let switches =
@@ -584,17 +737,9 @@ pub(crate) fn decode_frame_meta(bytes: &[u8]) -> Result<(FrameMeta, &[u8]), Deco
         2 => Actor::Thread(r.usizev()?),
         tag => return Err(DecodeError::BadTag { what: "Actor", tag }),
     };
-    let mut sleep: Vec<Transition> = Vec::new();
-    for _ in 0..r.usizev()? {
-        sleep.push(decode_transition(&mut r)?);
-    }
-    let mut wake: Vec<Transition> = Vec::new();
-    for _ in 0..r.usizev()? {
-        wake.push(decode_transition(&mut r)?);
-    }
     let meta = FrameMeta {
-        sleep,
-        wake,
+        sleep: decode_transition_set(&mut r)?,
+        wake: decode_transition_set(&mut r)?,
         last_actor,
         switches,
     };
@@ -661,6 +806,7 @@ mod tests {
     use super::*;
     use crate::oracle::Frame;
     use crate::tests::sys;
+    use crate::thread::ThreadTransition;
 
     /// A worker panicking mid-exploration poisons the store's locks;
     /// [`Drop`] must still delete every segment file and the spill
@@ -832,5 +978,155 @@ mod tests {
         drop(store);
         assert!(stale.exists(), "drop must not delete the stale directory");
         let _ = fs::remove_dir_all(&stale);
+    }
+
+    /// Distinct transitions ordered by `i`, for the admission tests
+    /// (admission never looks inside them).
+    fn t(i: usize) -> Transition {
+        Transition::Thread(ThreadTransition::Finish { tid: 0, ioid: i })
+    }
+
+    fn reduced() -> ModelParams {
+        ModelParams {
+            sleep_sets: true,
+            ..ModelParams::default()
+        }
+    }
+
+    /// A store over a one-instruction program.
+    fn store_with(params: &ModelParams) -> StateStore {
+        let state = sys(&[(&["li r1,1"], &[])], &[], params.clone());
+        StateStore::new(state.program.clone(), params, 1)
+    }
+
+    /// Reduced admission case by case: a first arrival is admitted
+    /// unrestricted; a re-arrival whose sleep set covers the stored one
+    /// is pruned; one whose sleep set misses stored members wakes
+    /// exactly those (stored ∖ sleep) and shrinks the stored set to the
+    /// intersection.
+    #[test]
+    fn sleep_sets_admit_prunes_covered_and_wakes_the_difference() {
+        let store = store_with(&reduced());
+        let d = 0xABCD;
+        let admit = |sleep: &[Transition]| store.admit(d, sleep).expect("in memory");
+        assert_eq!(admit(&[t(1), t(2), t(3)]), Some(vec![]), "first arrival");
+        assert_eq!(admit(&[t(1), t(2), t(3)]), None, "the same set is covered");
+        assert_eq!(
+            admit(&[t(0), t(1), t(2), t(3), t(4)]),
+            None,
+            "so is a superset"
+        );
+        assert_eq!(
+            admit(&[t(0), t(2)]),
+            Some(vec![t(1), t(3)]),
+            "stored ∖ sleep"
+        );
+        let stored = VisitedEntry {
+            digest: d,
+            sleep: vec![t(2)],
+        };
+        assert_eq!(
+            store.visited_entries().expect("in memory"),
+            [stored],
+            "shrunk to the intersection"
+        );
+        assert_eq!(admit(&[t(2)]), None);
+        assert_eq!(admit(&[]), Some(vec![t(2)]));
+        assert_eq!(admit(&[t(2)]), None, "nothing is left asleep");
+        assert_eq!(
+            store.admit(d + 1, &[t(5)]).expect("in memory"),
+            Some(vec![]),
+            "another digest is a first arrival"
+        );
+    }
+
+    /// A dump reseeds an equal visited set: `visited_entries` → `seed`
+    /// in both modes, including an unreduced shard whose digests have
+    /// gone to a cold run.
+    #[test]
+    fn visited_entries_seed_round_trip_in_both_modes() {
+        // Unreduced under a resident budget: 200 digests that all land
+        // in shard 0 outgrow its 64-digest hot allowance three times.
+        let params = ModelParams {
+            max_resident_states: 1,
+            ..ModelParams::default()
+        };
+        let store = store_with(&params);
+        let digests: Vec<u64> = (1..=200u64).map(|i| i << 8).collect();
+        for &d in &digests {
+            let admitted = store.admit(d, &[t(9)]).expect("healthy store");
+            assert_eq!(admitted, Some(vec![]), "unreduced ignores the sleep set");
+        }
+        assert!(store.shards[0].lock().unwrap().cold.is_some(), "flushed");
+        let entries = store.visited_entries().expect("healthy store");
+        let listed: Vec<u64> = entries.iter().map(|e| e.digest).collect();
+        assert_eq!(listed, digests, "hot ∪ cold, sorted");
+        assert!(entries.iter().all(|e| e.sleep.is_empty()), "digests only");
+        let again = store_with(&params);
+        for e in entries.clone() {
+            again.seed(e).expect("healthy store");
+        }
+        assert_eq!(again.visited_entries().expect("healthy store"), entries);
+        for &d in &digests {
+            assert_eq!(again.admit(d, &[]).expect("healthy store"), None);
+        }
+
+        // Reduced: each sleep set travels with its digest.
+        let store = store_with(&reduced());
+        for (d, sleep) in [(7, vec![t(1), t(2)]), (3, vec![]), (5, vec![t(0)])] {
+            assert_eq!(store.admit(d, &sleep).expect("in memory"), Some(vec![]));
+        }
+        let entries = store.visited_entries().expect("in memory");
+        let listed: Vec<u64> = entries.iter().map(|e| e.digest).collect();
+        assert_eq!(listed, [3, 5, 7]);
+        assert_eq!(entries[2].sleep, [t(1), t(2)]);
+        let again = store_with(&reduced());
+        for e in entries.clone() {
+            again.seed(e).expect("in memory");
+        }
+        assert_eq!(again.visited_entries().expect("in memory"), entries);
+        assert_eq!(again.admit(7, &[t(1), t(2)]).expect("in memory"), None);
+        assert_eq!(
+            again.admit(7, &[t(1)]).expect("in memory"),
+            Some(vec![t(2)]),
+            "a seeded sleep set still wakes"
+        );
+    }
+
+    /// A spilled record whose sleep or wake set is not strictly
+    /// increasing is corrupt: reduced admission would intersect it
+    /// wrongly and silently shrink the state space, so readback refuses
+    /// it. The same record with sorted sets reads back.
+    #[test]
+    fn sleep_sets_unsorted_spilled_record_is_corrupt() {
+        let params = ModelParams {
+            max_resident_states: 2,
+            ..reduced()
+        };
+        let state = sys(&[(&["li r1,1"], &[])], &[], params.clone());
+        let spill_and_unspill = |sleep: Vec<Transition>, wake: Vec<Transition>| {
+            let store = StateStore::new(state.program.clone(), &params, 1);
+            let frame = Frame {
+                sleep,
+                wake,
+                ..Frame::root(state.clone())
+            };
+            store.spill_batch(&[frame]).expect("healthy spill");
+            store
+                .unspill()
+                .map(|frames| frames.expect("one spilled segment"))
+        };
+        let garbled = [
+            (vec![t(2), t(1)], vec![]),
+            (vec![t(1), t(1)], vec![]),
+            (vec![], vec![t(3), t(0)]),
+        ];
+        for (sleep, wake) in garbled {
+            let err = spill_and_unspill(sleep, wake).expect_err("unsorted set decoded");
+            assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}");
+        }
+        let back = spill_and_unspill(vec![t(1), t(2)], vec![t(0)]).expect("sorted sets decode");
+        assert_eq!(back[0].sleep, [t(1), t(2)]);
+        assert_eq!(back[0].wake, [t(0)]);
     }
 }

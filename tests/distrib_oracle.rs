@@ -377,6 +377,107 @@ fn checkpoint_pause_resume_is_byte_identical() {
     );
 }
 
+/// The reduced-mode half of a pause: the dumped visited entries carry
+/// their sleep sets, `SeedVisited` puts them back on a different shard
+/// count, and the resumed run reaches the unreduced finals.
+#[test]
+fn checkpoint_pause_resume_sleep_sets() {
+    let source = library_source("SB");
+    let full = ExploreLimits::default();
+    let reference = sequential_reference(source, &ModelParams::default(), &full);
+    let reduced = ModelParams {
+        sleep_sets: true,
+        ..ModelParams::default()
+    };
+    let tmp =
+        std::env::temp_dir().join(format!("ppcmem-distrib-ck-reduced-{}", std::process::id()));
+    let _ = std::fs::remove_file(&tmp);
+    let mut cfg = dcfg(2);
+    cfg.checkpoint = Some(tmp.clone());
+    let budget = ExploreLimits {
+        max_states: 300,
+        ..ExploreLimits::default()
+    };
+    let paused = outcomes_distributed(source, &reduced, &budget, &cfg);
+    assert!(paused.stats.truncated, "budget pause must truncate");
+    let ck = load_checkpoint(&tmp).expect("graceful pause must write the checkpoint");
+    assert!(
+        ck.visited.iter().any(|e| !e.sleep.is_empty()),
+        "the dump must carry sleep sets"
+    );
+    cfg.workers = 3;
+    let resumed = outcomes_distributed(source, &reduced, &full, &cfg);
+    assert!(
+        !resumed.stats.truncated,
+        "resume must complete ({:?})",
+        resumed.stats.store_error
+    );
+    assert!(
+        reference.finals == resumed.finals,
+        "reduced pause+resume finals diverged ({} vs {})",
+        reference.finals.len(),
+        resumed.finals.len()
+    );
+    assert!(
+        !tmp.exists(),
+        "an untruncated completion must delete the checkpoint"
+    );
+}
+
+/// Checkpoints written by an earlier build, committed under
+/// `tests/data/checkpoint_v1/`, resume under this one on a different
+/// shard count: the file format, the frame records' state bytes and
+/// the visited entries, sleep sets included, are compatibility
+/// surfaces. `mp_unreduced.ck` is MP paused by a 500-state budget on 2
+/// workers; `sb_sleep_sets.ck` is SB under sleep sets paused by a
+/// 300-state budget on 2 workers, with non-empty sleep sets dumped.
+#[test]
+fn committed_checkpoints_resume() {
+    let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/checkpoint_v1");
+    let resume = |file: &str, name: &str, params: &ModelParams| -> Outcomes {
+        let tmp = std::env::temp_dir().join(format!("ppcmem-{}-{file}", std::process::id()));
+        std::fs::copy(data.join(file), &tmp).expect("copy fixture");
+        let mut cfg = dcfg(3);
+        cfg.checkpoint = Some(tmp.clone());
+        let got = outcomes_distributed(
+            library_source(name),
+            params,
+            &ExploreLimits::default(),
+            &cfg,
+        );
+        assert!(
+            !tmp.exists(),
+            "{file}: a completed resume deletes the checkpoint"
+        );
+        got
+    };
+
+    let params = ModelParams::default();
+    let mp = resume("mp_unreduced.ck", "MP", &params);
+    let reference = sequential_reference(library_source("MP"), &params, &ExploreLimits::default());
+    assert_identical("MP", "committed checkpoint", &reference, &mp);
+    assert_eq!(
+        (mp.stats.states, mp.stats.transitions, mp.finals.len()),
+        (1155, 3383, 4)
+    );
+
+    let reduced = ModelParams {
+        sleep_sets: true,
+        ..ModelParams::default()
+    };
+    let ck = load_checkpoint(&data.join("sb_sleep_sets.ck")).expect("fixture loads");
+    assert!(ck.visited.iter().any(|e| !e.sleep.is_empty()));
+    let sb = resume("sb_sleep_sets.ck", "SB", &reduced);
+    let reference = sequential_reference(library_source("SB"), &params, &ExploreLimits::default());
+    assert!(!sb.stats.truncated, "{:?}", sb.stats.store_error);
+    assert!(
+        reference.finals == sb.finals,
+        "SB fixture finals diverged ({} vs {})",
+        reference.finals.len(),
+        sb.finals.len()
+    );
+}
+
 /// Random-program differential over a seed range disjoint from the
 /// other fuzz suites: sequential vs 2-shard distributed, byte for byte.
 #[test]
