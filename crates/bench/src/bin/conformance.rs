@@ -34,12 +34,12 @@
 //! the workers. Verdicts and counts are byte-identical to the
 //! in-process engines, so the exit policy is unchanged.
 //!
-//! `--reduced` turns on sleep-set partial-order reduction: the same
-//! final-state verdicts (the POR differential pins this), fewer explored
-//! states. `--context-bound N` caps each execution at N context
-//! switches — an explicitly approximate fast tier: tests whose witness
-//! needs more switches come back *inconclusive* (reported as `bounded`
-//! in the JSONL), never as a conclusive "Forbidden".
+//! `--reduced` turns on the eager-`Finish` reduction: the same
+//! final-state verdicts (the POR differential pins this), about 10×
+//! fewer explored states. `--context-bound N` caps each execution at N
+//! context switches — an explicitly approximate fast tier: tests whose
+//! witness needs more switches come back *inconclusive* (reported as
+//! `bounded` in the JSONL), never as a conclusive "Forbidden".
 //!
 //! Exit status is non-zero if any conclusive verdict mismatches its
 //! paper/hardware expectation, or any test was budget-truncated without
@@ -131,7 +131,7 @@ fn main() {
             steal_batch,
             max_states,
             max_resident_states: max_resident,
-            sleep_sets: reduced,
+            reduced,
             max_context_switches: context_bound,
             ..ModelParams::default()
         },
@@ -158,7 +158,7 @@ fn main() {
         } else {
             format!(", {max_resident} resident states (spill-to-disk)")
         },
-        if reduced { ", sleep-set reduction" } else { "" },
+        if reduced { ", eager Finish" } else { "" },
         if context_bound == 0 {
             String::new()
         } else {

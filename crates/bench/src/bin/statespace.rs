@@ -9,10 +9,10 @@
 //! of states a thief moves per steal; `--max-resident N` bounds the
 //! in-memory frontier, spilling overflow to disk through the canonical
 //! state codec) — cross-checking that both engines produce identical
-//! verdicts. `--reduced` turns on sleep-set partial-order reduction
-//! (identical finals, fewer states — the cross-check then compares
-//! finals only, since explored-state counts are the point of the
-//! reduction); `--context-bound N` caps context switches per execution
+//! verdicts. `--reduced` turns on the eager-`Finish` reduction
+//! (identical finals, about 10× fewer states; its choice reads only the
+//! state, so the cross-check still compares finals and state counts);
+//! `--context-bound N` caps context switches per execution
 //! (an approximation: the engines may legitimately disagree, so the
 //! cross-check is skipped and rows are labelled). For contrast it also
 //! shows the per-test cost of a sequential run.
@@ -146,7 +146,7 @@ fn main() {
     let params = ModelParams {
         steal_batch,
         max_resident_states: max_resident,
-        sleep_sets: reduced,
+        reduced,
         max_context_switches: context_bound,
         ..ModelParams::default()
     };
@@ -190,7 +190,7 @@ fn main() {
         } else {
             format!(", {max_resident} resident states (spill-to-disk)")
         },
-        if reduced { ", sleep-set reduction" } else { "" },
+        if reduced { ", eager Finish" } else { "" },
         if context_bound == 0 {
             String::new()
         } else {
@@ -285,15 +285,6 @@ fn main() {
             // distributed run) legitimately saw a prefix; the row is
             // still printed but cannot be cross-checked.
             eprintln!("{name}: truncated — cross-check skipped");
-        } else if reduced {
-            // The reduction guarantees identical *finals*; explored
-            // state counts are exactly what it shrinks (and the
-            // parallel count varies run to run with steal order).
-            assert_eq!(
-                (s1.0, s1.1),
-                (rn.finals, rn.witnessed),
-                "{name}: reduced parallel exploration diverged from sequential"
-            );
         } else {
             assert_eq!(
                 (s1.0, s1.1, s1.2),

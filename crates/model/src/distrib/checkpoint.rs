@@ -6,7 +6,6 @@ use super::msg::{
     encode_finals, encode_frame_records, encode_stats, encode_visited_entries, FrameRecord,
 };
 use crate::oracle::{ExplorationStats, FinalState};
-use crate::store::VisitedEntry;
 use ppc_bits::{DecodeError, Reader, Writer};
 use std::collections::BTreeSet;
 use std::io;
@@ -28,8 +27,8 @@ pub struct Checkpoint {
     pub stats: ExplorationStats,
     /// Finals accumulated so far.
     pub finals: BTreeSet<FinalState>,
-    /// The merged visited set (digests + reduced-mode sleep sets).
-    pub visited: Vec<VisitedEntry>,
+    /// The merged visited set, by digest.
+    pub visited: Vec<u64>,
     /// Admitted-but-unexpanded frames.
     pub frontier: Vec<FrameRecord>,
     /// Routed-but-unadmitted candidates (dedup on resume).

@@ -24,7 +24,7 @@ use std::process::Child;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// Visited entries per SeedVisited message during resume seeding.
+/// Visited digests per SeedVisited message during resume seeding.
 const SEED_BATCH: usize = 4096;
 
 /// How long the coordinator waits for worker Results after broadcasting
@@ -425,7 +425,7 @@ impl Coordinator {
         self.base_stats.truncated = false;
         self.base_stats.store_error = None;
         self.base_finals = ck.finals;
-        for (w, entries) in by_owner(ck.visited, n, |e| e.digest) {
+        for (w, entries) in by_owner(ck.visited, n, |&d| d) {
             for chunk in entries.chunks(SEED_BATCH) {
                 self.send(
                     w,

@@ -28,8 +28,8 @@
 //! under-exploring. A frontier
 //! frame on the wire is `[u64 digest][frame record]` where the record
 //! is byte-for-byte the spill-segment record of [`crate::store`] —
-//! switch count, last actor, sleep/wake sets, then the canonical state
-//! bytes. One encoding everywhere a frame leaves the process: spill
+//! switch count, last actor, two retired set slots (always empty), then
+//! the canonical state bytes. One encoding everywhere a frame leaves the process: spill
 //! file, socket, checkpoint.
 //!
 //! ## Liveness
@@ -72,35 +72,26 @@
 //!   is dropped before it is encoded. A hit is an exact 64-bit compare,
 //!   so the table never claims a digest it was not given — a collision
 //!   evicts, and the evicted digest is simply sent again. This is sound
-//!   because unreduced admission is by digest alone (also under a
-//!   context bound: the switch count rides in the frame but admission
-//!   never reads it) and a shard's visited set only grows while its
-//!   fleet lives: the first send
-//!   reached the owner (or is still in the outbox, the relay or the
-//!   owner's socket, all of which the termination wave and the
+//!   because admission is by digest alone in every mode (the switch
+//!   count of a context bound rides in the frame, but admission never
+//!   reads it, and under `--reduced` the eager choice is a function of
+//!   the state, so a second copy would be expanded exactly as the first)
+//!   and a shard's visited set only grows while its fleet lives: the
+//!   first send reached the owner (or is still in the outbox, the relay
+//!   or the owner's socket, all of which the termination wave and the
 //!   checkpoint account for), so the owner would reject every later
 //!   copy — the table drops exactly what the owner would drop, and
 //!   counts and finals are unchanged.
-//! - **Receiver.** A frame record leads with its digest and the record
-//!   body leads with the search metadata, so the owner parses that
-//!   prefix, asks its visited set
-//!   ([`crate::store::StateStore::admit`], the one admission every
-//!   engine ends in, digest-only or sleep-set), and decodes the state
-//!   bytes — most of what a
-//!   frame costs the codec — only when the answer is yes. A
-//!   rejected record still counts as `received`: the probe invariant
-//!   below compares frames, not admissions. An *admitted* record whose
-//!   state then fails to decode ends the run truncated (`corrupt wire
-//!   frame`); skipping the decode of records that would have been
-//!   discarded anyway cannot shrink the state space.
-//! - **Reduced mode bypasses the sender table.** Under
-//!   [`crate::types::ModelParams::sleep_sets`] admission also reads the
-//!   arrival's sleep set, and a re-arrival with a smaller one must
-//!   reach the owner (it wakes transitions the first visit slept on),
-//!   so a reduced worker sends every remote successor. The receiver
-//!   side needs no exception: the sleep set is in the metadata prefix.
-//!   Which path runs follows from the job's parameters, not from a
-//!   switch.
+//! - **Receiver.** A frame record leads with its digest, so the owner
+//!   asks its visited set
+//!   ([`crate::store::StateStore::insert_visited`], the one admission
+//!   every engine ends in) first, and decodes the record — metadata and
+//!   state bytes, most of what a frame costs the codec — only when the
+//!   answer is yes. A rejected record still counts as `received`: the
+//!   probe invariant below compares frames, not admissions. An
+//!   *admitted* record that then fails to decode ends the run truncated
+//!   (`corrupt wire frame`); skipping the decode of records that would
+//!   have been discarded anyway cannot shrink the state space.
 //! - **Then the memo, then the codec.** A record that survives both
 //!   admissions is still mostly something this process has seen: it
 //!   differs from a state the worker routed or decoded a moment ago in
@@ -137,7 +128,7 @@
 //!
 //! A serialised frontier + visited set *is* a resumable exploration.
 //! On a graceful stop (state budget or deadline) with a checkpoint path
-//! configured, every worker dumps its visited entries, unexpanded
+//! configured, every worker dumps its visited digests, unexpanded
 //! frames, and unflushed outbox; the coordinator adds frames it was
 //! still relaying and writes one atomic (tmp+rename) checkpoint file.
 //! Resume seeds any number of workers — the dump is flat, so the shard
@@ -190,7 +181,6 @@ mod msg;
 mod probe;
 mod worker;
 
-pub use crate::store::VisitedEntry;
 pub use checkpoint::{load_checkpoint, save_checkpoint, Checkpoint};
 pub use coordinator::{coordinate, CoordinatorConfig, DistribOutcome};
 pub use msg::{decode_params, encode_params, read_blob, write_blob, FrameRecord};

@@ -6,8 +6,7 @@
 
 use crate::net::{is_timeout, Conn};
 use crate::oracle::{ExplorationStats, FinalState};
-use crate::state_codec::{decode_transition_set, encode_transition_set};
-use crate::store::VisitedEntry;
+use crate::store::decode_retired_set;
 use crate::types::{ModelParams, ThreadId};
 use ppc_bits::framed::{self, Receiver, Sender};
 use ppc_bits::{Bv, DecodeError, Reader, Writer};
@@ -60,9 +59,8 @@ pub(super) struct WorkerResult {
 /// The resumable remainder of one worker's exploration.
 #[derive(Debug, Default)]
 pub(super) struct WorkerDump {
-    /// Every digest this shard admitted (hot ∪ cold), with sleep sets
-    /// in reduced mode.
-    pub visited: Vec<VisitedEntry>,
+    /// Every digest this shard admitted (hot ∪ cold).
+    pub visited: Vec<u64>,
     /// Admitted-but-unexpanded frames (stack + spilled segments).
     pub frontier: Vec<FrameRecord>,
     /// Routed-but-never-admitted candidates (the unflushed outbox);
@@ -83,7 +81,7 @@ pub(super) enum Msg {
         frames: Vec<FrameRecord>,
     },
     /// Resume seeding: visited entries owned by the receiving shard.
-    SeedVisited { entries: Vec<VisitedEntry> },
+    SeedVisited { entries: Vec<u64> },
     /// Termination probe; the worker replies with a [`Msg::ProbeReply`]
     /// carrying the same round number.
     Probe { round: u64 },
@@ -148,21 +146,22 @@ pub(super) fn decode_frame_records(r: &mut Reader<'_>) -> Result<Vec<FrameRecord
     Ok(out)
 }
 
-pub(super) fn encode_visited_entries(w: &mut Writer, entries: &[VisitedEntry]) {
-    w.usizev(entries.len());
-    for e in entries {
-        w.bytes(&e.digest.to_le_bytes());
-        encode_transition_set(w, &e.sleep);
+/// A visited entry is `[u64 digest][retired set slot]`: the slot is
+/// always a literal empty count (see `decode_retired_set`).
+pub(super) fn encode_visited_entries(w: &mut Writer, digests: &[u64]) {
+    w.usizev(digests.len());
+    for d in digests {
+        w.bytes(&d.to_le_bytes());
+        w.usizev(0);
     }
 }
 
-pub(super) fn decode_visited_entries(r: &mut Reader<'_>) -> Result<Vec<VisitedEntry>, DecodeError> {
+pub(super) fn decode_visited_entries(r: &mut Reader<'_>) -> Result<Vec<u64>, DecodeError> {
     let n = r.usizev()?;
     let mut out = Vec::with_capacity(n.min(65536));
     for _ in 0..n {
-        let digest = u64::from_le_bytes(r.bytes(8)?.try_into().expect("8 bytes"));
-        let sleep = decode_transition_set(r)?;
-        out.push(VisitedEntry { digest, sleep });
+        out.push(u64::from_le_bytes(r.bytes(8)?.try_into().expect("8 bytes")));
+        decode_retired_set(r)?;
     }
     Ok(out)
 }
@@ -259,7 +258,7 @@ pub fn encode_params(w: &mut Writer, p: &ModelParams) {
     w.usizev(p.max_states);
     w.usizev(p.steal_batch);
     w.usizev(p.max_resident_states);
-    w.bool(p.sleep_sets);
+    w.bool(p.reduced);
     w.usizev(p.max_context_switches);
 }
 
@@ -273,7 +272,7 @@ pub fn decode_params(r: &mut Reader<'_>) -> Result<ModelParams, DecodeError> {
         max_states: r.usizev()?,
         steal_batch: r.usizev()?,
         max_resident_states: r.usizev()?,
-        sleep_sets: r.bool()?,
+        reduced: r.bool()?,
         max_context_switches: r.usizev()?,
     })
 }

@@ -11,7 +11,7 @@ use super::{
 use crate::net::{Conn, NetParams};
 use crate::oracle::{ExplorationStats, Frame};
 use crate::state_codec::{encode_transition, CodecCtx};
-use crate::store::{decode_frame, decode_frame_meta, encode_frame, VisitedEntry};
+use crate::store::{decode_frame, encode_frame};
 use crate::system::{SystemState, Transition};
 use crate::tests::sb_system;
 use crate::thread::ThreadTransition;
@@ -45,17 +45,13 @@ fn msg_codec_round_trips() {
         digest: 0xDEAD_BEEF_0BAD_F00D,
         bytes: vec![1, 2, 3, 4, 5],
     };
-    let entry = VisitedEntry {
-        digest: 42,
-        sleep: Vec::new(),
-    };
     let msgs = vec![
         Msg::Batch {
             preadmitted: true,
             frames: vec![rec.clone(), rec.clone()],
         },
         Msg::SeedVisited {
-            entries: vec![entry],
+            entries: vec![42, 7],
         },
         Msg::Probe { round: 7 },
         Msg::Stop { dump: true },
@@ -288,7 +284,7 @@ fn params_codec_round_trips() {
         max_states: 12345,
         steal_batch: 9,
         max_resident_states: 64,
-        sleep_sets: true,
+        reduced: true,
         max_context_switches: 5,
     };
     let mut w = Writer::new();
@@ -494,8 +490,7 @@ fn worker_routes_each_digest_once_and_rejects_before_decoding() {
     // The root again, verbatim, and once more with its state bytes
     // scrambled behind an intact prefix: both carry a visited digest.
     let mut scrambled = link.root.clone();
-    let (_, state) = decode_frame_meta(&scrambled.bytes).expect("root prefix");
-    let prefix = scrambled.bytes.len() - state.len();
+    let prefix = root_prefix(&scrambled);
     scrambled.bytes[prefix..].iter_mut().for_each(|b| *b = !*b);
     let frames = vec![link.root.clone(), scrambled];
     link.send(&Msg::Batch {
@@ -529,11 +524,10 @@ fn corrupt_record_with_a_fresh_digest_truncates_the_run() {
         link.settle();
         let mut bad = link.root.clone();
         bad.digest ^= 1;
-        let (_, state) = decode_frame_meta(&bad.bytes).expect("root prefix");
         let from = if scramble_prefix {
             0
         } else {
-            bad.bytes.len() - state.len()
+            root_prefix(&bad)
         };
         bad.bytes[from..].iter_mut().for_each(|b| *b = !*b);
         let res = link.finish(&Msg::Batch {
@@ -546,41 +540,47 @@ fn corrupt_record_with_a_fresh_digest_truncates_the_run() {
     }
 }
 
-/// Distinct transitions ordered by `i` (the decoders never look inside
-/// them).
-fn t(i: usize) -> Transition {
-    Transition::Thread(ThreadTransition::Finish { tid: 0, ioid: i })
+/// The length of a root frame record's metadata prefix — switch count
+/// 0, actor tag 0 and the two empty retired set slots, one zero byte
+/// each — ahead of its state bytes.
+fn root_prefix(rec: &FrameRecord) -> usize {
+    assert_eq!(rec.bytes[..4], [0, 0, 0, 0], "a root record's metadata");
+    4
 }
 
-/// Sleep sets that are not strictly increasing: out of order, and a
-/// duplicate.
-fn garbled_sleep_sets() -> [Vec<Transition>; 2] {
-    [vec![t(2), t(1)], vec![t(1), t(1)]]
+/// A non-empty set in a retired slot: one encoded transition behind a
+/// count of 1.
+fn retired_set(w: &mut Writer) {
+    w.usizev(1);
+    encode_transition(
+        w,
+        &Transition::Thread(ThreadTransition::Finish { tid: 0, ioid: 0 }),
+    );
 }
 
-/// A reduced worker refuses a wire record whose sleep set is not
-/// strictly increasing before it reaches admission, whose set algebra
-/// assumes sorted sets: a garbled one would shrink the stored set below
-/// the truth and lose states silently. The run ends truncated, naming
-/// the corrupt frame — no panic, in debug or release.
+/// A worker refuses an admitted wire record that carries a non-empty
+/// set in either retired slot: the run ends truncated, naming the
+/// corrupt frame — no panic, in debug or release.
 #[test]
-fn sleep_sets_unsorted_wire_record_truncates_the_run() {
+fn retired_set_wire_record_truncates_the_run() {
     let mut reduced = sb_system();
-    reduced.params.sleep_sets = true;
-    for sleep in garbled_sleep_sets() {
+    reduced.params.reduced = true;
+    for slot in 0..2 {
         let mut link = ScriptedLink::start(reduced.clone());
         link.settle();
         // The root's state bytes behind a fresh digest and a prefix
-        // (no switches, no actor) carrying the garbled sleep set.
-        let (_, state) = decode_frame_meta(&link.root.bytes).expect("root prefix");
+        // (no switches, no actor) with one slot filled.
+        let state = &link.root.bytes[root_prefix(&link.root)..];
         let mut w = Writer::new();
         w.u64v(0);
         w.byte(0);
-        w.usizev(sleep.len());
-        for t in &sleep {
-            encode_transition(&mut w, t);
+        for s in 0..2 {
+            if s == slot {
+                retired_set(&mut w);
+            } else {
+                w.usizev(0);
+            }
         }
-        w.usizev(0);
         w.bytes(state);
         let bad = FrameRecord {
             digest: link.root.digest ^ 1,
@@ -592,37 +592,52 @@ fn sleep_sets_unsorted_wire_record_truncates_the_run() {
         });
         assert!(
             res.stats.truncated,
-            "{sleep:?}: corruption must never be conclusive"
+            "slot {slot}: corruption must never be conclusive"
         );
         let why = res.stats.store_error.expect("store_error set");
         assert!(why.contains("corrupt wire frame"), "{why}");
     }
 }
 
-/// A checkpoint whose visited entries carry a sleep set that is not
-/// strictly increasing is refused at load, and so is a `SeedVisited`
-/// body with one: both go through the one visited-entry decoder.
+/// A checkpoint whose visited entry carries a non-empty retired set is
+/// refused at load, and so is a `SeedVisited` body with one: both go
+/// through the one visited-entry decoder. The entries `save_checkpoint`
+/// writes load back.
 #[test]
-fn sleep_sets_unsorted_checkpoint_is_refused() {
-    let path = std::env::temp_dir().join(format!("ppcmem-unsorted-ck-{}", std::process::id()));
-    let checkpoint = |sleep: Vec<Transition>| Checkpoint {
+fn retired_set_checkpoint_is_refused() {
+    let path = std::env::temp_dir().join(format!("ppcmem-retired-ck-{}", std::process::id()));
+    let checkpoint = Checkpoint {
         job_digest: 1,
         stats: ExplorationStats::default(),
         finals: BTreeSet::new(),
-        visited: vec![VisitedEntry { digest: 9, sleep }],
+        visited: vec![9, 3],
         frontier: Vec::new(),
         pending: Vec::new(),
     };
-    save_checkpoint(&path, &checkpoint(vec![t(1), t(2)])).expect("write checkpoint");
-    let loaded = load_checkpoint(&path).expect("sorted sleep sets load");
-    assert_eq!(loaded.visited, checkpoint(vec![t(1), t(2)]).visited);
-    for sleep in garbled_sleep_sets() {
-        save_checkpoint(&path, &checkpoint(sleep.clone())).expect("write checkpoint");
-        assert!(load_checkpoint(&path).is_err(), "{sleep:?} loaded");
-        let (tag, body) = encode_msg(&Msg::SeedVisited {
-            entries: checkpoint(sleep.clone()).visited,
-        });
-        assert!(decode_msg(tag, &body).is_err(), "{sleep:?} decoded");
-    }
+    save_checkpoint(&path, &checkpoint).expect("write checkpoint");
+    let loaded = load_checkpoint(&path).expect("empty slots load");
+    assert_eq!(loaded.visited, checkpoint.visited);
+    // The visited list is `[count][u64 digest][slot]...`; it sits right
+    // before the two (empty) frame-record lists at the end of the file.
+    let bytes = std::fs::read(&path).expect("read checkpoint");
+    let entry = |d: u64| [&d.to_le_bytes()[..], &[0]].concat();
+    let list = [&[2][..], &entry(9), &entry(3), &[0, 0]].concat();
+    assert!(bytes.ends_with(&list), "the visited list closes the file");
+    let mut bad = bytes[..bytes.len() - list.len()].to_vec();
+    let mut w = Writer::new();
+    w.usizev(1);
+    w.bytes(&9u64.to_le_bytes());
+    retired_set(&mut w);
+    let body = w.into_bytes();
+    bad.extend_from_slice(&body);
+    bad.extend_from_slice(&[0, 0]);
+    std::fs::write(&path, &bad).expect("write checkpoint");
+    assert!(load_checkpoint(&path).is_err(), "a non-empty slot loaded");
+    // The same entry list as a `SeedVisited` body (tag 2).
+    assert!(decode_msg(2, &body).is_err(), "a non-empty slot decoded");
+    let (tag, body) = encode_msg(&Msg::SeedVisited {
+        entries: checkpoint.visited,
+    });
+    assert!(decode_msg(tag, &body).is_ok(), "empty slots decode");
     let _ = std::fs::remove_file(&path);
 }

@@ -7,8 +7,7 @@
 //! soundness argument is in the [module docs](super), *Dedup before
 //! codec*): a successor whose digest this worker already routed is not
 //! encoded again ([`SentTable`]), and a received record is offered to
-//! the visited set on its digest and metadata prefix before its state
-//! bytes are decoded.
+//! the visited set on its digest before it is decoded.
 
 use super::msg::{
     encode_msg, send_msg, spawn_reader, FrameRecord, Msg, WorkerDump, WorkerResult, MAX_BLOB,
@@ -16,7 +15,7 @@ use super::msg::{
 use super::{shard_of, ROUTE_BATCH};
 use crate::net::{Conn, FaultAction, FaultPlan, NetParams, SendKind};
 use crate::oracle::{DfsFrontier, ExplorationStats, FinalState, Frame};
-use crate::store::{decode_frame_meta, encode_frame, StateStore, StoreError};
+use crate::store::{decode_frame, encode_frame, StateStore, StoreError};
 use crate::system::SystemState;
 use crate::types::ThreadId;
 use ppc_bits::framed::Sender;
@@ -101,10 +100,8 @@ struct Worker<'a> {
     frontier: DfsFrontier,
     outbox: Vec<Vec<FrameRecord>>,
     /// Digests already routed to their owners, consulted before the
-    /// encode. `None` in reduced mode: there the owner's admission also
-    /// reads the arrival's sleep set, and a re-arrival with a smaller
-    /// one must reach it.
-    sent: Option<SentTable>,
+    /// encode.
+    sent: SentTable,
     finals: BTreeSet<FinalState>,
     stats: ExplorationStats,
     /// Batch frames consumed (the probe's `received`).
@@ -124,13 +121,12 @@ struct Worker<'a> {
 
 impl<'a> Worker<'a> {
     fn new(sock: Conn, env: &'a WorkerEnv<'a>, net: NetParams) -> io::Result<Self> {
-        let params = &env.initial.params;
         let (tx, rx) = mpsc::channel::<io::Result<Msg>>();
         spawn_reader(sock.try_clone()?, move |msg| tx.send(msg).is_ok());
         Ok(Worker {
             frontier: DfsFrontier::new(env.initial),
             outbox: (0..env.n_shards).map(|_| Vec::new()).collect(),
-            sent: (!params.sleep_sets).then(|| SentTable::new(SENT_SLOTS)),
+            sent: SentTable::new(SENT_SLOTS),
             finals: BTreeSet::new(),
             stats: ExplorationStats::default(),
             received: 0,
@@ -230,10 +226,10 @@ impl<'a> Worker<'a> {
         self.send(&Msg::Result(Box::new(res)))
     }
 
-    /// Dump everything unexplored for a checkpoint: visited entries,
+    /// Dump everything unexplored for a checkpoint: visited digests,
     /// stack + spilled frames, unflushed outbox.
     fn dump(&mut self) -> Result<WorkerDump, StoreError> {
-        let visited = self.frontier.store.visited_entries()?;
+        let visited = self.frontier.store.visited_digests()?;
         let frames = self.frontier.drain()?;
         let frontier = frames
             .iter()
@@ -286,41 +282,38 @@ impl<'a> Worker<'a> {
                         // coordinator forwarded.
                         self.received += frames.len() as u64;
                         for rec in frames {
-                            let corrupt = |e| format!("corrupt wire frame: {e}");
-                            let (mut meta, state_bytes) = match decode_frame_meta(&rec.bytes) {
-                                Ok(parts) => parts,
-                                Err(e) => return self.finish_failed(&corrupt(e)),
-                            };
-                            // Admission needs only the digest and the
-                            // prefix, so a record the visited set
-                            // rejects is dropped undecoded. A checkpoint
-                            // frontier frame was admitted before the
-                            // pause (its digest is in the seeded visited
-                            // set), so admission would wrongly reject it.
+                            // Admission needs only the digest, so a
+                            // record the visited set rejects is dropped
+                            // undecoded. A checkpoint frontier frame was
+                            // admitted before the pause (its digest is
+                            // in the seeded visited set), so admission
+                            // would wrongly reject it.
                             if !preadmitted {
-                                match self.frontier.store.admit(rec.digest, &meta.sleep) {
-                                    Ok(Some(wake)) => meta.wake = wake,
-                                    Ok(None) => continue,
+                                match self.frontier.store.insert_visited(rec.digest) {
+                                    Ok(true) => {}
+                                    Ok(false) => continue,
                                     Err(e) => return self.finish_failed(&e.to_string()),
                                 }
                             }
-                            // An admitted digest whose state does not
+                            // An admitted digest whose frame does not
                             // decode would be a hole in the state space:
                             // the run ends truncated.
-                            let state = match self.frontier.store.ctx().decode(state_bytes) {
-                                Ok(s) => s,
-                                Err(e) => return self.finish_failed(&corrupt(e)),
+                            let frame = match decode_frame(self.frontier.store.ctx(), &rec.bytes) {
+                                Ok(f) => f,
+                                Err(e) => {
+                                    return self.finish_failed(&format!("corrupt wire frame: {e}"))
+                                }
                             };
                             // The sender computed the digest; it is
                             // rebuild-stable, so seed the cache instead
                             // of re-hashing.
-                            state.digest.seed(rec.digest);
-                            self.frontier.push(meta.into_frame(state));
+                            frame.state.digest.seed(rec.digest);
+                            self.frontier.push(frame);
                         }
                     }
                     Msg::SeedVisited { entries } => {
-                        for e in entries {
-                            if let Err(err) = self.frontier.store.seed(e) {
+                        for d in entries {
+                            if let Err(err) = self.frontier.store.insert_visited(d) {
                                 return self.finish_failed(&err.to_string());
                             }
                         }
@@ -401,7 +394,7 @@ impl<'a> Worker<'a> {
                         return true;
                     }
                     // Already routed: the owner has it, or will.
-                    if sent.as_mut().is_some_and(|s| s.check_and_insert(digest)) {
+                    if sent.check_and_insert(digest) {
                         return false;
                     }
                     outbox[owner].push(record(store, next));

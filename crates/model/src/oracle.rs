@@ -319,25 +319,14 @@ pub enum Actor {
 }
 
 /// One frontier record: an unexpanded state plus the search metadata
-/// the reduction and context-bounding layers thread through the
-/// frontier (and through the spill codec, as additive record fields).
-/// In the default (unreduced, unbounded) configuration the metadata is
-/// inert: the sleep set stays empty and the switch count is ignored.
+/// the context-bounding layer threads through the frontier (and through
+/// the spill codec, as additive record fields). In the default
+/// (unbounded) configuration the metadata is inert: the switch count is
+/// ignored.
 #[derive(Clone, Debug)]
 pub struct Frame {
     /// The unexpanded state.
     pub state: SystemState,
-    /// The sleep set inherited from the parent: transitions whose
-    /// exploration here is redundant because an independent sibling
-    /// branch already explores them. Kept sorted and deduplicated.
-    /// Always empty when [`ModelParams::sleep_sets`] is off.
-    pub sleep: Vec<Transition>,
-    /// Wake-up restriction for a reduced-mode *re*-visit: when
-    /// non-empty, only these transitions (the ones slept on the state's
-    /// earlier visits but awake now) are expanded — everything else was
-    /// already explored from this state. Empty on first visits and
-    /// whenever [`ModelParams::sleep_sets`] is off.
-    pub wake: Vec<Transition>,
     /// The actor of the transition that produced this state.
     pub last_actor: Actor,
     /// Context switches accumulated along the producing path.
@@ -350,8 +339,6 @@ impl Frame {
     pub fn root(state: SystemState) -> Self {
         Frame {
             state,
-            sleep: Vec::new(),
-            wake: Vec::new(),
             last_actor: Actor::None,
             switches: 0,
         }
@@ -379,8 +366,8 @@ fn actor_of(t: &Transition) -> Actor {
 pub(crate) struct Expansion {
     /// Successor frames (pre-dedup), or empty for a quiescent state.
     pub(crate) succs: Vec<Frame>,
-    /// Transitions fired (= successors produced; sleep-set-skipped and
-    /// bound-suppressed transitions are not fired).
+    /// Transitions fired (= successors produced; transitions the
+    /// reduction leaves out and bound-suppressed ones are not fired).
     pub(crate) transitions: usize,
     /// Whether the state was quiescent (a final hit).
     pub(crate) is_final: bool,
@@ -391,25 +378,21 @@ pub(crate) struct Expansion {
 
 /// Expand one frame: either classify its state as quiescent (collecting
 /// its observable final states into `finals`) or produce its successor
-/// frames. Shared verbatim by the sequential and parallel engines so
-/// they cannot drift apart.
+/// frames. Shared verbatim by every engine — sequential, work-stealing,
+/// spilling and distributed — so they cannot drift apart, and the one
+/// place that decides which enabled transitions fire.
 ///
-/// With [`ModelParams::sleep_sets`] on, this is the sleep-set step
-/// (Godefroid): walking the enabled transitions in their stable
-/// enumeration order, a transition in the current sleep set is skipped
-/// (some earlier branch explores everything it leads to), each explored
-/// transition `t` passes on the subset of the sleep set independent of
-/// `t`, and `t` itself then joins the sleep set for its later siblings
-/// — so of two adjacent independent transitions only one interleaving
-/// is expanded, while every reachable *state* (in particular every
-/// final) is still reached. Independence comes from
-/// [`crate::reduction::independent`].
+/// With [`ModelParams::reduced`] on, a state in which some non-branch
+/// instruction can `Finish` fires only the first such `Finish` in
+/// enumeration order (a singleton persistent set); every other state
+/// fires everything. The proof that this keeps every final is in the
+/// [`crate::reduction`] module docs, and debug builds re-check its
+/// stability and commutation halves on every eager choice. The choice
+/// reads only the state, so reduced counts are engine-independent too.
 ///
 /// With [`ModelParams::max_context_switches`] nonzero, a successor
 /// whose path would exceed the bound is suppressed (and reported via
-/// [`Expansion::bounded_hit`] — never silently). A suppressed
-/// transition does *not* join the sleep set: nothing explores it, so
-/// it cannot excuse skipping siblings.
+/// [`Expansion::bounded_hit`] — never silently).
 ///
 /// `scratch` is a per-worker transition buffer reused across every state
 /// the worker expands (the enumeration is rebuilt into it each call), so
@@ -439,39 +422,18 @@ pub(crate) fn expand(
             bounded_hit: false,
         };
     }
-    let reduce = state.params.sleep_sets;
+    if state.params.reduced {
+        if let Some(f) = reduction::eager_finish(state, scratch) {
+            #[cfg(debug_assertions)]
+            reduction::audit_eager_finish(state, &f, scratch);
+            scratch.clear();
+            scratch.push(f);
+        }
+    }
     let bound = state.params.max_context_switches;
-    // The working sleep set: the inherited one restricted to transitions
-    // still enabled here (dropping a disabled member is conservative —
-    // it only costs pruning), growing by each explored transition.
-    let mut sleep_now: Vec<Transition> = if reduce {
-        frame
-            .sleep
-            .iter()
-            .filter(|t| scratch.contains(t))
-            .copied()
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let inherited = sleep_now.len();
     let mut succs = Vec::with_capacity(scratch.len());
     let mut bounded_hit = false;
     for t in scratch.iter() {
-        // Skip members of the inherited sleep set (but not transitions
-        // added for earlier siblings below — the enumeration has no
-        // duplicates, so they cannot recur anyway).
-        if reduce && sleep_now[..inherited].contains(t) {
-            continue;
-        }
-        // A re-visit expands only its awakened transitions: everything
-        // else was explored from this state before, under a sleep set
-        // whose extra members are exactly the `wake` list — and those
-        // are recovered right here, from the state itself, by the
-        // independence that put them to sleep in the first place.
-        if !frame.wake.is_empty() && !frame.wake.contains(t) {
-            continue;
-        }
         let actor = actor_of(t);
         let switches = frame.switches
             + u32::from(frame.last_actor != Actor::None && frame.last_actor != actor);
@@ -479,27 +441,11 @@ pub(crate) fn expand(
             bounded_hit = true;
             continue;
         }
-        let sleep = if reduce {
-            let mut s: Vec<Transition> = sleep_now
-                .iter()
-                .copied()
-                .filter(|u| u != t && crate::reduction::independent(state, t, u))
-                .collect();
-            s.sort_unstable();
-            s
-        } else {
-            Vec::new()
-        };
         succs.push(Frame {
             state: memo.successor(state, t),
-            sleep,
-            wake: Vec::new(),
             last_actor: actor,
             switches,
         });
-        if reduce {
-            sleep_now.push(*t);
-        }
     }
     Expansion {
         transitions: succs.len(),
@@ -893,7 +839,7 @@ impl DfsFrontier {
     /// Expand a popped frame and file what it yields: its counts go to
     /// `stats` and its final states to `finals`; each successor is shown
     /// to `route` first, and one that `route` calls local is admitted
-    /// ([`StateStore::admit_frame`]) and pushed; then the excess spills.
+    /// ([`StateStore::insert_visited`]) and pushed; then the excess spills.
     /// The sequential engine's `route` calls every successor local, a
     /// distributed worker's routes those another shard owns. The budget,
     /// deadline and messaging around a step are the caller's.
@@ -917,8 +863,8 @@ impl DfsFrontier {
         stats.bounded |= exp.bounded_hit;
         stats.final_hits += usize::from(exp.is_final);
         stats.transitions += exp.transitions;
-        for mut next in exp.succs {
-            if route(&self.store, &next) && self.store.admit_frame(&mut next)? {
+        for next in exp.succs {
+            if route(&self.store, &next) && self.store.insert_visited(next.state.digest())? {
                 self.push(next);
             }
         }
@@ -995,12 +941,12 @@ fn explore_seq(
     };
     let mut stats = ExplorationStats::default();
     let mut finals = BTreeSet::new();
-    let mut root = Frame::root(initial.clone());
+    let root = Frame::root(initial.clone());
     // The store is empty: the root admission touches only the hot set,
     // so no I/O can fail here.
     let admitted = frontier
         .store
-        .admit_frame(&mut root)
+        .insert_visited(root.state.digest())
         .expect("root insert into an empty store cannot touch disk");
     debug_assert!(admitted, "the root always enters an empty frontier");
     frontier.push(root);
@@ -1083,8 +1029,7 @@ struct StealPool<'a> {
     truncated: AtomicBool,
     /// The two-tier store: the digest-sharded visited set (exactly one
     /// worker wins the insertion race for each new state, so each
-    /// reachable state is expanded exactly once; reduced, the shards'
-    /// sleep tables serialise same-digest arrivals) plus the frontier's
+    /// reachable state is expanded exactly once) plus the frontier's
     /// disk half. When the resident budget is crossed, freshly published
     /// successors are serialised to segment files instead of entering a
     /// deque; dry workers read segments back in batches. Spilled states
@@ -1292,8 +1237,8 @@ fn steal_worker(
         out.transitions += exp.transitions;
         let mut fresh: Vec<Frame> = Vec::with_capacity(exp.succs.len());
         let mut failed = false;
-        for mut next in exp.succs {
-            match pool.store.admit_frame(&mut next) {
+        for next in exp.succs {
+            match pool.store.insert_visited(next.state.digest()) {
                 Ok(true) => fresh.push(next),
                 Ok(false) => {}
                 Err(e) => {
@@ -1365,10 +1310,10 @@ fn explore_par(
         bounded: AtomicBool::new(false),
         store_error: Mutex::new(None),
     };
-    let mut root = Frame::root(initial.clone());
+    let root = Frame::root(initial.clone());
     // The store is empty, so the root admission cannot touch disk.
     let admitted = store
-        .admit_frame(&mut root)
+        .insert_visited(root.state.digest())
         .expect("root insert into an empty store cannot touch disk");
     debug_assert!(admitted, "the root always enters an empty frontier");
     pool.store.note_enqueued(1);

@@ -1,32 +1,98 @@
-//! Component footprints of [`Transition`]s, and the conservative
-//! independence relation the sleep-set partial-order reduction layer in
-//! [`crate::oracle`] builds on them.
+//! The oracle's one reduction — eager non-branch `Finish`, what
+//! [`crate::ModelParams::reduced`] turns on — with its proof, and the
+//! component footprints of [`Transition`]s.
 //!
-//! The footprint is load-bearing in *every* exploration mode, not only
-//! under the reduction: the oracle's successor memo keys a transition on
-//! the components of its R ∪ W set and swaps in the successor's copies
-//! of them (see the `oracle` module docs, *Successor memo*). A missing
-//! read therefore costs more than pruning there — the memo would serve
-//! one state's successor to another that differs in the unlisted
-//! component — which is why debug builds re-derive every memo hit and
-//! check, on every applied transition, that nothing outside W changed
-//! (`check_write_set`).
+//! # Eager `Finish`
 //!
-//! Two transitions enabled in the same state are *independent* when
-//! applying them in either order reaches the same state and neither
-//! disables the other — then exploring both interleavings is redundant,
-//! and the sleep-set search prunes one of them without losing any
-//! reachable state (so `Outcomes::finals` stays exactly identical to
-//! the unreduced search; the POR differential in `tests/oracle_fuzz.rs`
-//! pins this).
+//! In a state `s` where some instruction instance that is not a branch
+//! can finish, `eager_finish` names the first such
+//! `F = Finish { tid, ioid }` in enumeration order, and the oracle's
+//! `expand` fires `F` alone; a state with no such transition fires
+//! everything. `{F}` is a persistent set: every final reachable from `s`
+//! is reachable through `F` first. `Finish` is 58 % of the transitions
+//! an exhaustive library30 search fires, so this cuts library30 from
+//! 884,248 states to 64,687 and the 73-test corpus from 1,360,642 to
+//! 133,374, with identical finals. The choice reads only the state, so
+//! a state is expanded the same way whichever path or engine reaches
+//! it: dedup by digest stays sound and reduced counts are the same in
+//! every engine. The proof has three parts.
 //!
-//! The relation here is footprint-based and deliberately conservative:
-//! each transition is assigned read/write sets over the *components* of
+//! 1. **Stability.** Once enabled, `F` stays enabled under every other
+//!    transition. Every conjunct of `can_finish` is monotone. The
+//!    instance is done, its writes are committed, its barrier
+//!    obligations are met, and its register sources are finished; only
+//!    a restart could undo any of that, and `finished` never resets.
+//!    It is non-speculative (every po-previous branch is finished) and
+//!    load-stable: every po-previous write footprint is determined,
+//!    every overlapping po-previous write is committed, and every
+//!    overlapping po-previous load is finished. Restarts come only from
+//!    a po-previous write or read that overlaps a satisfied read, and
+//!    the restart walks skip finished instances, so nothing can restart
+//!    a load-stable, non-speculative instance or its register sources.
+//! 2. **Commutation.** A non-branch `Finish` writes only
+//!    `inst.finished` (its `prune_children` removes nothing: a
+//!    non-branch has one possible successor address), plus the eager
+//!    progress that flag seeds in its own thread. Every predicate reads
+//!    `finished` of *another* instance only as a permission (a finished
+//!    source, a finished po-previous load or branch, a write that can
+//!    no longer change), so every other enabled `u` stays enabled after
+//!    `F`, and `u`'s effect does not read the flag it could be waiting
+//!    on: the restart walks that skip finished instances never meet
+//!    the finishable one (part 1). Both orders therefore reach the same
+//!    state. Two cases touch `F`'s thread from outside it.
+//!    `AcknowledgeSync` writes `t(origin)`, setting `barrier_acked` on a
+//!    `sync`; but a `sync` cannot be finishable before it is acked, so
+//!    `F` names another instance and the two writes are disjoint.
+//!    `PropagateWrite` can kill the destination thread's reservation,
+//!    which `Finish` neither reads nor writes.
+//! 3. **Preservation.** The instance is non-speculative, so no later
+//!    branch `Finish` prunes it (a branch prunes only its own po-later
+//!    children), and it cannot restart (part 1); every final has every
+//!    instance finished, so every path from `s` to a final fires `F`
+//!    exactly once. By parts 1 and 2, `F` can be moved to the front of
+//!    that path without changing where it ends: each state before it
+//!    has `F` enabled and commuting with the next step. Induction on
+//!    path length then shows the reduced search from `apply(s, F)`
+//!    reaches every final the path reached.
+//!
+//! Debug builds check parts 1 and 2 on every eager choice
+//! (`audit_eager_finish`): for each other enabled `u`, `F` is enabled
+//! in `apply(s, u)`, `u` is enabled in `apply(s, F)`, and the two
+//! orders reach equal states, structurally and by digest.
+//!
+//! **Why branches are excluded.** A branch's `Finish` runs
+//! `prune_children`, and a wrong-path `lwarx` that satisfied before
+//! that keeps its reservation: `SatisfyReadStorage` sets it, and
+//! pruning only removes instances. Finishing the branch first disables
+//! that satisfy, so the two do not commute, and the naive "any
+//! `Finish`" rule loses finals (`WrongPathLwarxDep` in
+//! `tests/oracle_fuzz.rs` reaches `x=2` only through the wrong-path
+//! reservation). Excluding branches costs 0.2 % of the reduction
+//! (64,575 → 64,687 states on library30).
+//!
+//! Under a context bound ([`crate::ModelParams::max_context_switches`])
+//! the bound may suppress the eager `Finish` itself; the run then
+//! reports `bounded`, as every bounded run that cuts a path does.
+//!
+//! # Footprints
+//!
+//! The footprint is load-bearing in *every* exploration mode: the
+//! oracle's successor memo keys a transition on the components of its
+//! R ∪ W set and swaps in the successor's copies of them (see the
+//! `oracle` module docs, *Successor memo*). A missing read would let
+//! the memo serve one state's successor to another that differs in the
+//! unlisted component — which is why debug builds re-derive every memo
+//! hit and check, on every applied transition, that nothing outside W
+//! changed (`check_write_set`).
+//!
+//! Each transition is assigned read/write sets over the *components* of
 //! a [`SystemState`] — per-thread [`crate::ThreadState`]s, per-thread
 //! storage propagation lists, and the global storage tables — encoded
-//! as bits of a `u64` mask. Transitions are independent exactly when
-//! their footprints do not conflict (neither writes what the other
-//! reads or writes). Soundness rests on three facts about the model:
+//! as bits of a `u64` mask. Two transitions are [`independent`] exactly
+//! when their footprints do not conflict (neither writes what the other
+//! reads or writes); the commutation fuzz test in `tests/oracle_fuzz.rs`
+//! checks that such pairs commute. Soundness rests on three facts about
+//! the model:
 //!
 //! - a transition's enabling predicate and its effect (including the
 //!   eager-progress advance that follows `apply`, which never consults
@@ -40,10 +106,10 @@
 //!   as its own written component, so any two allocating transitions
 //!   conflict — reordering them would renumber events.
 //!
-//! When in doubt the relation must say *dependent*: a missing conflict
-//! breaks the reduction's exhaustiveness, while a spurious conflict
-//! only costs pruning. Threads beyond [`MAX_TRACKED_THREADS`] collapse
-//! to a full mask (always dependent) for the same reason.
+//! When in doubt a footprint must claim more: a missing component
+//! breaks the memo, while a spurious one only costs memo hits. Threads
+//! beyond [`MAX_TRACKED_THREADS`] collapse to a full mask for the same
+//! reason.
 
 use crate::storage::StorageTransition;
 use crate::system::{SystemState, Transition};
@@ -101,6 +167,43 @@ fn all_lists(threads: usize) -> u64 {
         ALL
     } else {
         ((1u64 << threads) - 1) << MAX_TRACKED_THREADS
+    }
+}
+
+/// The first enabled `Finish` of a non-branch instance in `enabled`
+/// (the enumeration of `state`), if any: the transition a reduced
+/// expansion fires alone. See the module docs for why it is enough.
+pub(crate) fn eager_finish(state: &SystemState, enabled: &[Transition]) -> Option<Transition> {
+    enabled.iter().copied().find(|t| {
+        matches!(t, Transition::Thread(ThreadTransition::Finish { tid, ioid })
+            if !state.threads[*tid].instances[*ioid].is_branch())
+    })
+}
+
+/// Debug-build check of the proof's stability and commutation parts on
+/// one eager choice `f` in `state`, against every other transition in
+/// `enabled`.
+#[cfg(debug_assertions)]
+pub(crate) fn audit_eager_finish(state: &SystemState, f: &Transition, enabled: &[Transition]) {
+    let after_f = state.apply(f);
+    let enabled_after_f = after_f.enumerate_transitions();
+    for u in enabled.iter().filter(|u| *u != f) {
+        let after_u = state.apply(u);
+        assert!(
+            after_u.enumerate_transitions().contains(f),
+            "eager {f:?} is not stable: {u:?} disables it"
+        );
+        assert!(
+            enabled_after_f.contains(u),
+            "eager {f:?} does not commute: it disables {u:?}"
+        );
+        let (uf, fu) = (after_u.apply(f), after_f.apply(u));
+        assert!(uf == fu, "eager {f:?} does not commute with {u:?}");
+        assert_eq!(
+            uf.digest(),
+            fu.digest(),
+            "eager {f:?} and {u:?} commute to states with other digests"
+        );
     }
 }
 
@@ -182,9 +285,10 @@ pub(crate) fn footprint(state: &SystemState, tr: &Transition) -> (u64, u64) {
     }
 }
 
-/// Whether `a` and `b` (both enabled in `state`) are independent:
-/// applying them in either order commutes to the same state and
-/// neither disables the other. Conservative — `false` is always safe.
+/// Whether `a` and `b` (both enabled in `state`) are independent by
+/// their footprints: applying them in either order commutes to the same
+/// state and neither disables the other. Conservative — `false` is
+/// always safe.
 #[must_use]
 pub fn independent(state: &SystemState, a: &Transition, b: &Transition) -> bool {
     let (ra, wa) = footprint(state, a);

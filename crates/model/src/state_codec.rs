@@ -1100,9 +1100,8 @@ fn decode_storage(
     Ok(st)
 }
 
-/// Encode one [`Transition`] (tag byte + LEB128 fields). Used by the
-/// frontier spill records to carry a frame's sleep set alongside the
-/// canonical state bytes; `decode_transition` is its exact inverse.
+/// Encode one [`Transition`] (tag byte + LEB128 fields);
+/// `decode_transition` is its exact inverse.
 pub fn encode_transition(w: &mut Writer, t: &Transition) {
     match t {
         Transition::Thread(tt) => match tt {
@@ -1246,33 +1245,6 @@ pub fn decode_transition(r: &mut Reader<'_>) -> Result<Transition, DecodeError> 
             })
         }
     })
-}
-
-/// Encode a transition set — a frame's sleep or wake set, a visited
-/// entry's sleep set: its length, then each member.
-pub(crate) fn encode_transition_set(w: &mut Writer, set: &[Transition]) {
-    w.usizev(set.len());
-    for t in set {
-        encode_transition(w, t);
-    }
-}
-
-/// Decode a set written by [`encode_transition_set`]. Every such set is
-/// sorted and duplicate-free — reduced-mode admission's set algebra
-/// depends on it — so one that is not strictly increasing is corrupt and
-/// refused here, before it can reach a visited set.
-pub(crate) fn decode_transition_set(r: &mut Reader<'_>) -> Result<Vec<Transition>, DecodeError> {
-    let mut set: Vec<Transition> = Vec::new();
-    for _ in 0..r.usizev()? {
-        let t = decode_transition(r)?;
-        if set.last().is_some_and(|last| *last >= t) {
-            return Err(DecodeError::Invalid(
-                "transition set not strictly increasing",
-            ));
-        }
-        set.push(t);
-    }
-    Ok(set)
 }
 
 /// Encode one state with a throwaway context (convenience for tests and

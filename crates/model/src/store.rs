@@ -17,11 +17,8 @@
 //!   set is at least a quarter of the run, so total write amplification
 //!   stays logarithmic). Membership stays *exact* — a false "new" would
 //!   change visited-state counts, a false "seen" would drop states.
-//!   Under [`ModelParams::sleep_sets`] the same shards hold the sleep
-//!   table instead — each visited digest with the sleep set it was
-//!   explored with — which stays resident: a cold run keeps digests
-//!   only. [`StateStore::admit`] is every engine's one admission, in
-//!   either mode.
+//!   [`StateStore::insert_visited`] is every engine's one admission,
+//!   reduced or not.
 //! - **Frontier segments**: overflow states are serialised through the
 //!   canonical [`crate::state_codec`] into length-prefixed segment
 //!   files (newest segment read back first, preserving the search's
@@ -52,11 +49,11 @@
 //! exploration).
 
 use crate::oracle::{Actor, Frame};
-use crate::state_codec::{decode_transition_set, encode_transition_set, CodecCtx, MemoStats};
-use crate::system::{Program, SystemState, Transition};
+use crate::state_codec::{CodecCtx, MemoStats};
+use crate::system::Program;
 use crate::types::ModelParams;
 use ppc_bits::{framed, DecodeError, Reader, SortedRun, Writer};
-use std::collections::{hash_map, HashMap, HashSet};
+use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write as _};
 use std::path::PathBuf;
@@ -142,32 +139,11 @@ pub fn create_unique_temp_dir(prefix: &str) -> io::Result<PathBuf> {
     }
 }
 
-/// One visited-set entry as a dump, a checkpoint or a resume seed
-/// carries it: the digest plus, in reduced mode, the sleep set it was
-/// last explored with (empty unreduced).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VisitedEntry {
-    pub digest: u64,
-    pub sleep: Vec<Transition>,
-}
-
-/// Reduced mode's visited set ([`ModelParams::sleep_sets`]): every state
-/// reached so far, by digest, with the sleep set it was (last) explored
-/// with.
-type SleepTable = HashMap<u64, Box<[Transition]>>;
-
 /// One shard of the visited set: exact membership over a hot in-memory
-/// set plus at most one cold sorted run on disk — or, reduced, the
-/// sleep table.
+/// set plus at most one cold sorted run on disk.
 struct VisitedShard {
     hot: HashSet<u64>,
     cold: Option<ColdRun>,
-    /// Admission reads the stored sleep set, and a state must be
-    /// *re*-explored when it comes back with a strictly less restrictive
-    /// one (else outcomes only reachable through its sleeping
-    /// transitions would be lost), so reduced this replaces `hot` and
-    /// `cold`. Empty unreduced.
-    sleep: SleepTable,
 }
 
 /// A shard's sorted run of digests, in a temp file it deletes on drop.
@@ -258,7 +234,6 @@ impl StateStore {
                     Mutex::new(VisitedShard {
                         hot: HashSet::new(),
                         cold: None,
-                        sleep: SleepTable::new(),
                     })
                 })
                 .collect(),
@@ -332,83 +307,33 @@ impl StateStore {
             .expect("visited shard poisoned")
     }
 
-    /// Decide whether a state enters the search, from its digest and the
-    /// sleep set it arrives with: every engine's one admission. `None`
-    /// prunes; `Some(wake)` admits, restricted to the wake-up list on a
-    /// reduced re-visit (always empty unreduced). Unreduced this is
-    /// [`StateStore::insert_visited`] and `sleep` is ignored; under
-    /// [`ModelParams::sleep_sets`] it is [`reduced_admit`] on the
-    /// digest's shard, whose lock serialises same-digest arrivals, so
-    /// concurrent admissions are race-free. Needing no decoded state,
-    /// this is also what a distributed worker asks *before* it decodes a
-    /// received frame.
-    pub fn admit(
-        &self,
-        digest: u64,
-        sleep: &[Transition],
-    ) -> Result<Option<Vec<Transition>>, StoreError> {
-        if !self.params.sleep_sets {
-            return Ok(self.insert_visited(digest)?.then(Vec::new));
-        }
-        Ok(reduced_admit(&mut self.shard(digest).sleep, digest, sleep))
-    }
-
-    /// [`StateStore::admit`] for a frame in hand: an admitted frame takes
-    /// the visit's wake-up restriction with it; `Ok(false)` prunes.
-    pub fn admit_frame(&self, frame: &mut Frame) -> Result<bool, StoreError> {
-        let Some(wake) = self.admit(frame.state.digest(), &frame.sleep)? else {
-            return Ok(false);
-        };
-        frame.wake = wake;
-        Ok(true)
-    }
-
-    /// Put one entry of a dump back into the visited set (resume
-    /// seeding): the digest and, reduced, the sleep set it was explored
-    /// with.
-    pub fn seed(&self, entry: VisitedEntry) -> Result<(), StoreError> {
-        if self.params.sleep_sets {
-            let sleep = entry.sleep.into_boxed_slice();
-            self.shard(entry.digest).sleep.insert(entry.digest, sleep);
-        } else {
-            self.insert_visited(entry.digest)?;
-        }
-        Ok(())
-    }
-
-    /// Every entry of the visited set — the hot ∪ cold digests with
-    /// empty sleep sets unreduced, the sleep table reduced — sorted by
-    /// digest. This is the checkpoint/dump view of the visited set; the
+    /// Every digest of the visited set — hot ∪ cold — sorted. This is
+    /// the checkpoint/dump view of the visited set (a resume puts each
+    /// digest back with [`StateStore::insert_visited`]); the
     /// exploration must be quiescent while it runs.
-    pub fn visited_entries(&self) -> Result<Vec<VisitedEntry>, StoreError> {
-        let digest_only = |digest| VisitedEntry {
-            digest,
-            sleep: Vec::new(),
-        };
+    pub fn visited_digests(&self) -> Result<Vec<u64>, StoreError> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let mut s = shard.lock().expect("visited shard poisoned");
-            out.extend(s.hot.iter().copied().map(digest_only));
-            out.extend(s.sleep.iter().map(|(&digest, sleep)| VisitedEntry {
-                digest,
-                sleep: sleep.to_vec(),
-            }));
+            out.extend(s.hot.iter().copied());
             if let Some(cold) = &mut s.cold {
                 cold.run
                     .for_each(|digest| {
-                        out.push(digest_only(u64::from_le_bytes(*digest)));
+                        out.push(u64::from_le_bytes(*digest));
                         Ok(())
                     })
                     .map_err(io_err("read visited run"))?;
             }
         }
-        out.sort_unstable_by_key(|e| e.digest);
+        out.sort_unstable();
         Ok(out)
     }
 
     /// Insert a digest into the visited set; `Ok(true)` iff it was new.
     /// Exact regardless of spilling: the hot set and the cold run are
-    /// both consulted before inserting. This is unreduced admission.
+    /// both consulted before inserting. This is every engine's one
+    /// admission; needing no decoded state, it is also what a
+    /// distributed worker asks *before* it decodes a received frame.
     pub fn insert_visited(&self, digest: u64) -> Result<bool, StoreError> {
         let mut s = self.shard(digest);
         if s.hot.contains(&digest) {
@@ -475,8 +400,8 @@ impl StateStore {
     /// the canonical codec).
     ///
     /// Each record carries the state's 64-bit digest and the frame's
-    /// search metadata (context-switch count, last actor, sleep set —
-    /// additive fields ahead of the state bytes; the canonical state
+    /// search metadata (context-switch count, last actor — additive
+    /// fields ahead of the state bytes; the canonical state
     /// encoding itself is unchanged) alongside the canonical bytes.
     /// Spilled states had their digest computed at admission, so this is
     /// a cached read; on readback the digest seeds the decoded state's
@@ -601,83 +526,11 @@ impl StateStore {
     }
 }
 
-// ---- reduced-mode admission ---------------------------------------------
-
-/// Admit a frame into the reduced search against the sleep table of its
-/// digest's shard. Returns `None` to prune, or `Some(wake)` — the
-/// wake-up restriction for the visit:
-///
-/// - first arrival: admitted unrestricted (`wake` empty — every
-///   non-slept transition is expanded) and the sleep set is stored;
-/// - re-arrival whose sleep set covers the stored one: pruned — the
-///   earlier visit already expanded at least as much;
-/// - re-arrival whose sleep set *misses* some stored members: those
-///   members (`stored \ sleep`) were slept on every earlier visit but
-///   must be explored under this arrival's pruning argument — the visit
-///   is admitted restricted to exactly them (everything else was
-///   expanded before), and the stored set shrinks to the intersection.
-///   The shrink is strict, so each state re-explores at most
-///   `|enabled|` times — termination.
-fn reduced_admit(
-    table: &mut SleepTable,
-    digest: u64,
-    sleep: &[Transition],
-) -> Option<Vec<Transition>> {
-    debug_assert!(sleep.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
-    match table.entry(digest) {
-        hash_map::Entry::Vacant(v) => {
-            v.insert(sleep.into());
-            Some(Vec::new())
-        }
-        hash_map::Entry::Occupied(mut o) => {
-            let wake = sorted_diff(o.get(), sleep);
-            if wake.is_empty() {
-                return None;
-            }
-            o.insert(sorted_intersect(sleep, o.get()).into_boxed_slice());
-            Some(wake)
-        }
-    }
-}
-
-/// The elements of sorted `a` not in sorted `b`, sorted.
-fn sorted_diff(a: &[Transition], b: &[Transition]) -> Vec<Transition> {
-    let mut out = Vec::new();
-    let mut j = 0;
-    for x in a {
-        while j < b.len() && b[j] < *x {
-            j += 1;
-        }
-        if j >= b.len() || b[j] != *x {
-            out.push(*x);
-        }
-    }
-    out
-}
-
-/// The intersection of two sorted transition slices, sorted.
-fn sorted_intersect(a: &[Transition], b: &[Transition]) -> Vec<Transition> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 // ---- frame record codec ------------------------------------------------
 
 /// One frontier-frame record's payload: the frame metadata (switch
-/// count, actor tag, sleep/wake sets) followed by the canonical state
-/// bytes. This is both the spill-segment record format and, with a
+/// count, actor tag, two retired set slots) followed by the canonical
+/// state bytes. This is both the spill-segment record format and, with a
 /// digest prefix, the distributed wire/checkpoint format
 /// ([`crate::distrib`]) — one encoding, everywhere a frame leaves the
 /// process.
@@ -692,42 +545,28 @@ pub(crate) fn encode_frame(ctx: &CodecCtx, f: &Frame) -> Vec<u8> {
             w.usizev(tid);
         }
     }
-    encode_transition_set(&mut w, &f.sleep);
-    encode_transition_set(&mut w, &f.wake);
+    // The two retired slots (see `decode_retired_set`).
+    w.usizev(0);
+    w.usizev(0);
     ctx.encode_into(&mut w, &f.state);
     w.into_bytes()
 }
 
-/// The metadata prefix of a frame record: everything [`encode_frame`]
-/// writes ahead of the canonical state bytes. It is all an admission
-/// decision needs beside the digest, so a receiver
-/// ([`crate::distrib`]'s worker) parses this much, asks its visited set,
-/// and decodes the state — the expensive part — only for a frame that
-/// will be expanded.
-pub(crate) struct FrameMeta {
-    pub(crate) sleep: Vec<Transition>,
-    pub(crate) wake: Vec<Transition>,
-    last_actor: Actor,
-    switches: u32,
-}
-
-impl FrameMeta {
-    /// The frame this prefix and its decoded state make.
-    pub(crate) fn into_frame(self, state: SystemState) -> Frame {
-        Frame {
-            state,
-            sleep: self.sleep,
-            wake: self.wake,
-            last_actor: self.last_actor,
-            switches: self.switches,
-        }
+/// A retired transition-set slot: the frame records and visited entries
+/// of the removed sleep-set reduction carried transition sets here.
+/// Writers put a literal empty count in each slot, so every record keeps
+/// its byte layout; a non-empty count is refused as corrupt.
+pub(crate) fn decode_retired_set(r: &mut Reader<'_>) -> Result<(), DecodeError> {
+    match r.usizev()? {
+        0 => Ok(()),
+        _ => Err(DecodeError::Invalid("retired transition set not empty")),
     }
 }
 
-/// Parse a frame record's metadata prefix; the second half of the pair
-/// is the canonical state bytes that follow it, undecoded. A sleep or
-/// wake set that is not strictly increasing is refused as corrupt.
-pub(crate) fn decode_frame_meta(bytes: &[u8]) -> Result<(FrameMeta, &[u8]), DecodeError> {
+/// Inverse of [`encode_frame`]. The decoded state's digest cache is
+/// *not* seeded here — callers carrying a recorded digest seed it
+/// themselves.
+pub(crate) fn decode_frame(ctx: &CodecCtx, bytes: &[u8]) -> Result<Frame, DecodeError> {
     let mut r = Reader::new(bytes);
     let switches =
         u32::try_from(r.u64v()?).map_err(|_| DecodeError::Invalid("switch count range"))?;
@@ -737,21 +576,13 @@ pub(crate) fn decode_frame_meta(bytes: &[u8]) -> Result<(FrameMeta, &[u8]), Deco
         2 => Actor::Thread(r.usizev()?),
         tag => return Err(DecodeError::BadTag { what: "Actor", tag }),
     };
-    let meta = FrameMeta {
-        sleep: decode_transition_set(&mut r)?,
-        wake: decode_transition_set(&mut r)?,
+    decode_retired_set(&mut r)?;
+    decode_retired_set(&mut r)?;
+    Ok(Frame {
+        state: ctx.decode(r.bytes(r.remaining())?)?,
         last_actor,
         switches,
-    };
-    Ok((meta, r.bytes(r.remaining())?))
-}
-
-/// Inverse of [`encode_frame`]. The decoded state's digest cache is
-/// *not* seeded here — callers carrying a recorded digest seed it
-/// themselves.
-pub(crate) fn decode_frame(ctx: &CodecCtx, bytes: &[u8]) -> Result<Frame, DecodeError> {
-    let (meta, state) = decode_frame_meta(bytes)?;
-    Ok(meta.into_frame(ctx.decode(state)?))
+    })
 }
 
 /// Finalize an open segment: flush and convert to a readable [`Segment`].
@@ -805,6 +636,8 @@ impl Drop for StateStore {
 mod tests {
     use super::*;
     use crate::oracle::Frame;
+    use crate::state_codec::encode_transition;
+    use crate::system::Transition;
     use crate::tests::sys;
     use crate::thread::ThreadTransition;
 
@@ -980,153 +813,94 @@ mod tests {
         let _ = fs::remove_dir_all(&stale);
     }
 
-    /// Distinct transitions ordered by `i`, for the admission tests
-    /// (admission never looks inside them).
-    fn t(i: usize) -> Transition {
-        Transition::Thread(ThreadTransition::Finish { tid: 0, ioid: i })
-    }
-
-    fn reduced() -> ModelParams {
-        ModelParams {
-            sleep_sets: true,
-            ..ModelParams::default()
-        }
-    }
-
     /// A store over a one-instruction program.
     fn store_with(params: &ModelParams) -> StateStore {
         let state = sys(&[(&["li r1,1"], &[])], &[], params.clone());
         StateStore::new(state.program.clone(), params, 1)
     }
 
-    /// Reduced admission case by case: a first arrival is admitted
-    /// unrestricted; a re-arrival whose sleep set covers the stored one
-    /// is pruned; one whose sleep set misses stored members wakes
-    /// exactly those (stored ∖ sleep) and shrinks the stored set to the
-    /// intersection.
-    #[test]
-    fn sleep_sets_admit_prunes_covered_and_wakes_the_difference() {
-        let store = store_with(&reduced());
-        let d = 0xABCD;
-        let admit = |sleep: &[Transition]| store.admit(d, sleep).expect("in memory");
-        assert_eq!(admit(&[t(1), t(2), t(3)]), Some(vec![]), "first arrival");
-        assert_eq!(admit(&[t(1), t(2), t(3)]), None, "the same set is covered");
-        assert_eq!(
-            admit(&[t(0), t(1), t(2), t(3), t(4)]),
-            None,
-            "so is a superset"
-        );
-        assert_eq!(
-            admit(&[t(0), t(2)]),
-            Some(vec![t(1), t(3)]),
-            "stored ∖ sleep"
-        );
-        let stored = VisitedEntry {
-            digest: d,
-            sleep: vec![t(2)],
-        };
-        assert_eq!(
-            store.visited_entries().expect("in memory"),
-            [stored],
-            "shrunk to the intersection"
-        );
-        assert_eq!(admit(&[t(2)]), None);
-        assert_eq!(admit(&[]), Some(vec![t(2)]));
-        assert_eq!(admit(&[t(2)]), None, "nothing is left asleep");
-        assert_eq!(
-            store.admit(d + 1, &[t(5)]).expect("in memory"),
-            Some(vec![]),
-            "another digest is a first arrival"
-        );
-    }
-
-    /// A dump reseeds an equal visited set: `visited_entries` → `seed`
-    /// in both modes, including an unreduced shard whose digests have
-    /// gone to a cold run.
+    /// A dump reseeds an equal visited set: `visited_digests` → one
+    /// `insert_visited` each, including a shard whose digests have gone
+    /// to a cold run. A reduced store keeps digests only, like any other.
     #[test]
     fn visited_entries_seed_round_trip_in_both_modes() {
-        // Unreduced under a resident budget: 200 digests that all land
-        // in shard 0 outgrow its 64-digest hot allowance three times.
-        let params = ModelParams {
-            max_resident_states: 1,
-            ..ModelParams::default()
-        };
-        let store = store_with(&params);
-        let digests: Vec<u64> = (1..=200u64).map(|i| i << 8).collect();
-        for &d in &digests {
-            let admitted = store.admit(d, &[t(9)]).expect("healthy store");
-            assert_eq!(admitted, Some(vec![]), "unreduced ignores the sleep set");
+        for reduced in [false, true] {
+            // Under a resident budget: 200 digests that all land in
+            // shard 0 outgrow its 64-digest hot allowance three times.
+            let params = ModelParams {
+                max_resident_states: 1,
+                reduced,
+                ..ModelParams::default()
+            };
+            let store = store_with(&params);
+            let digests: Vec<u64> = (1..=200u64).map(|i| i << 8).collect();
+            for &d in &digests {
+                assert!(store.insert_visited(d).expect("healthy store"), "new");
+            }
+            assert!(store.shards[0].lock().unwrap().cold.is_some(), "flushed");
+            let dump = store.visited_digests().expect("healthy store");
+            assert_eq!(dump, digests, "hot ∪ cold, sorted");
+            let again = store_with(&params);
+            for &d in &dump {
+                assert!(again.insert_visited(d).expect("healthy store"));
+            }
+            assert_eq!(again.visited_digests().expect("healthy store"), dump);
+            for &d in &digests {
+                assert!(!again.insert_visited(d).expect("healthy store"));
+            }
         }
-        assert!(store.shards[0].lock().unwrap().cold.is_some(), "flushed");
-        let entries = store.visited_entries().expect("healthy store");
-        let listed: Vec<u64> = entries.iter().map(|e| e.digest).collect();
-        assert_eq!(listed, digests, "hot ∪ cold, sorted");
-        assert!(entries.iter().all(|e| e.sleep.is_empty()), "digests only");
-        let again = store_with(&params);
-        for e in entries.clone() {
-            again.seed(e).expect("healthy store");
-        }
-        assert_eq!(again.visited_entries().expect("healthy store"), entries);
-        for &d in &digests {
-            assert_eq!(again.admit(d, &[]).expect("healthy store"), None);
-        }
-
-        // Reduced: each sleep set travels with its digest.
-        let store = store_with(&reduced());
-        for (d, sleep) in [(7, vec![t(1), t(2)]), (3, vec![]), (5, vec![t(0)])] {
-            assert_eq!(store.admit(d, &sleep).expect("in memory"), Some(vec![]));
-        }
-        let entries = store.visited_entries().expect("in memory");
-        let listed: Vec<u64> = entries.iter().map(|e| e.digest).collect();
-        assert_eq!(listed, [3, 5, 7]);
-        assert_eq!(entries[2].sleep, [t(1), t(2)]);
-        let again = store_with(&reduced());
-        for e in entries.clone() {
-            again.seed(e).expect("in memory");
-        }
-        assert_eq!(again.visited_entries().expect("in memory"), entries);
-        assert_eq!(again.admit(7, &[t(1), t(2)]).expect("in memory"), None);
-        assert_eq!(
-            again.admit(7, &[t(1)]).expect("in memory"),
-            Some(vec![t(2)]),
-            "a seeded sleep set still wakes"
-        );
     }
 
-    /// A spilled record whose sleep or wake set is not strictly
-    /// increasing is corrupt: reduced admission would intersect it
-    /// wrongly and silently shrink the state space, so readback refuses
-    /// it. The same record with sorted sets reads back.
+    /// A spilled record whose retired set slot holds a non-empty set is
+    /// corrupt: `unspill` refuses it. The same record with the literal
+    /// empty count `encode_frame` writes reads back.
     #[test]
-    fn sleep_sets_unsorted_spilled_record_is_corrupt() {
+    fn retired_set_spilled_record_is_corrupt() {
         let params = ModelParams {
             max_resident_states: 2,
-            ..reduced()
+            reduced: true,
+            ..ModelParams::default()
         };
         let state = sys(&[(&["li r1,1"], &[])], &[], params.clone());
-        let spill_and_unspill = |sleep: Vec<Transition>, wake: Vec<Transition>| {
+        let finish = Transition::Thread(ThreadTransition::Finish { tid: 0, ioid: 0 });
+        for slot in [None, Some(0), Some(1)] {
             let store = StateStore::new(state.program.clone(), &params, 1);
-            let frame = Frame {
-                sleep,
-                wake,
-                ..Frame::root(state.clone())
-            };
-            store.spill_batch(&[frame]).expect("healthy spill");
             store
-                .unspill()
-                .map(|frames| frames.expect("one spilled segment"))
-        };
-        let garbled = [
-            (vec![t(2), t(1)], vec![]),
-            (vec![t(1), t(1)], vec![]),
-            (vec![], vec![t(3), t(0)]),
-        ];
-        for (sleep, wake) in garbled {
-            let err = spill_and_unspill(sleep, wake).expect_err("unsorted set decoded");
-            assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}");
+                .spill_batch(&[Frame::root(state.clone())])
+                .expect("healthy spill");
+            if let Some(slot) = slot {
+                // `[u32 len][u64 digest]`, then a root frame's metadata:
+                // switch count 0, actor tag 0 and the two empty slots.
+                let path = store.frontier.lock().unwrap().open.as_mut().map(|o| {
+                    o.writer.flush().expect("flush segment");
+                    o.path.clone()
+                });
+                let path = path.expect("one open segment");
+                let bytes = fs::read(&path).expect("read segment");
+                assert_eq!(bytes[12..16], [0, 0, 0, 0], "a root record's metadata");
+                let mut body = Writer::new();
+                body.bytes(&bytes[12..14 + slot]);
+                body.usizev(1);
+                encode_transition(&mut body, &finish);
+                body.bytes(&bytes[15 + slot..]);
+                let body = body.into_bytes();
+                let len = u32::try_from(body.len()).expect("small record");
+                let mut out = len.to_le_bytes().to_vec();
+                out.extend_from_slice(&bytes[4..12]);
+                out.extend_from_slice(&body);
+                fs::write(&path, out).expect("write segment");
+            }
+            let back = store.unspill();
+            match slot {
+                None => {
+                    let frames = back.expect("healthy segment").expect("one segment");
+                    assert_eq!(frames[0].state, state, "an empty slot reads back");
+                }
+                Some(_) => {
+                    let err = back.expect_err("a non-empty retired set decoded");
+                    assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}");
+                }
+            }
         }
-        let back = spill_and_unspill(vec![t(1), t(2)], vec![t(0)]).expect("sorted sets decode");
-        assert_eq!(back[0].sleep, [t(1), t(2)]);
-        assert_eq!(back[0].wake, [t(0)]);
     }
 }

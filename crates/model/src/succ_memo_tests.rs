@@ -59,7 +59,7 @@ fn succ_memo_engines_match_memoless_on_model_tests() {
         let mem_obs = [X, Y, Z, W].map(|a| (a, 4));
         for (mode, threads, reduced, resident) in MODES {
             let mut s = initial.clone();
-            s.params.sleep_sets = reduced;
+            s.params.reduced = reduced;
             s.params.max_resident_states = resident;
             let limits = ExploreLimits {
                 threads,

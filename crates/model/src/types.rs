@@ -115,15 +115,16 @@ pub struct ModelParams {
     /// memory, as before). Purely a memory/perf knob: spilling cannot
     /// change which states are visited, the counts, or the finals.
     pub max_resident_states: usize,
-    /// Enable the sleep-set partial-order reduction layer. The reduced
-    /// engines prune redundant interleavings of *independent*
-    /// transitions (see `ppc_model::reduction`) while producing exactly
-    /// the same `Outcomes::finals` as the unreduced search — pinned by
-    /// the POR differential in `tests/oracle_fuzz.rs`. Explored-state
-    /// counts drop (and, in the parallel engine, become run-to-run
-    /// dependent on work arrival order), so state/transition counts are
-    /// only comparable between runs with the same `sleep_sets` setting.
-    pub sleep_sets: bool,
+    /// Enable the eager-`Finish` reduction: in a state where some
+    /// non-branch instruction can finish, only the first such `Finish`
+    /// fires (see `ppc_model::reduction` for the proof). The reduced
+    /// search produces exactly the same `Outcomes::finals` as the
+    /// exhaustive one — pinned by the POR differential in
+    /// `tests/oracle_fuzz.rs` — while visiting about 10× fewer states.
+    /// The choice depends only on the state, so reduced counts are the
+    /// same in every engine, but they are only comparable between runs
+    /// with the same `reduced` setting.
+    pub reduced: bool,
     /// Context-switch bound for the explicitly-approximate fast tier:
     /// when nonzero, any execution path is cut off once the active
     /// *actor* (a thread, or the storage subsystem) has changed more
@@ -185,7 +186,7 @@ impl Default for ModelParams {
             max_states: Self::DEFAULT_MAX_STATES,
             steal_batch: Self::DEFAULT_STEAL_BATCH,
             max_resident_states: 0,
-            sleep_sets: false,
+            reduced: false,
             max_context_switches: 0,
         }
     }

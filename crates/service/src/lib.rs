@@ -72,5 +72,7 @@ pub const REPORT_VERSION: u32 = 1;
 /// Version of the model semantics. Bump whenever a change to the
 /// exploration engines or the architectural model can change any
 /// envelope — cached records computed under the old semantics must
-/// never be served for the new ones.
-pub const MODEL_VERSION: u32 = 1;
+/// never be served for the new ones. Version 2: `reduced` became the
+/// eager-`Finish` reduction, which reports other `states` and
+/// `transitions` than the sleep sets of version 1.
+pub const MODEL_VERSION: u32 = 2;

@@ -12,11 +12,12 @@
 //!
 //! - Every envelope-affecting [`ModelParams`] field is in the key:
 //!   budgets (`max_states`, `max_resident_states`), the context bound,
-//!   coherence commitments, speculation depth, spurious-stcx, sleep
-//!   sets. The destructuring in [`encode_params`] is *exhaustive* — a
-//!   field added to `ModelParams` without deciding its key status fails
-//!   to compile, which is the loud failure the cache needs (a silently
-//!   unkeyed param would serve stale envelopes).
+//!   coherence commitments, speculation depth, spurious-stcx, the
+//!   eager-`Finish` reduction (`reduced`). The destructuring in
+//!   [`encode_params`] is *exhaustive* — a field added to `ModelParams`
+//!   without deciding its key status fails to compile, which is the
+//!   loud failure the cache needs (a silently unkeyed param would
+//!   serve stale envelopes).
 //! - `threads` and `steal_batch` are **excluded**: pure scheduling
 //!   knobs, documented (and differential-tested) to not change which
 //!   states are visited or any verdict.
@@ -145,7 +146,7 @@ fn encode_params(w: &mut Writer, params: &ModelParams) {
         max_states,
         steal_batch: _, // scheduling only: cannot change which states are visited
         max_resident_states,
-        sleep_sets,
+        reduced,
         max_context_switches,
     } = params;
     w.usizev(*max_instances_per_thread);
@@ -153,7 +154,7 @@ fn encode_params(w: &mut Writer, params: &ModelParams) {
     w.bool(*allow_spurious_stcx_failure);
     w.usizev(*max_states);
     w.usizev(*max_resident_states);
-    w.bool(*sleep_sets);
+    w.bool(*reduced);
     w.usizev(*max_context_switches);
 }
 
@@ -280,9 +281,9 @@ mod tests {
                 },
             ),
             (
-                "sleep_sets",
+                "reduced",
                 ModelParams {
-                    sleep_sets: !base.sleep_sets,
+                    reduced: !base.reduced,
                     ..base.clone()
                 },
             ),

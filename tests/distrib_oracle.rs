@@ -10,8 +10,9 @@
 //! ladder and on random programs from the shared fuzz generator
 //! (`tests/common`, over a seed range disjoint from the other fuzz
 //! suites). Composition with `--max-resident` (per-worker spill
-//! stores) and `--reduced` (worker-local sleep memos; finals-identity,
-//! as for the in-process reduced engines) is pinned the same way.
+//! stores) and `--reduced` (the eager-`Finish` choice, which reads only
+//! the state: unreduced finals, and reduced counts equal to every
+//! in-process reduced engine's) is pinned the same way.
 //!
 //! Robustness: a fault-injected worker death (`std::process::abort`
 //! mid-exploration, indistinguishable from SIGKILL/OOM) must surface
@@ -157,22 +158,29 @@ fn distributed_matches_sequential_on_ladder() {
 /// and about `(n − 1) / n` of them cross shards). The bound has slack
 /// for the table's rare evictions: a state none of whose predecessors
 /// lives on another shard is never routed at all.
+/// Reduced runs engage the same table, so the bound holds for them too.
 #[test]
 fn relayed_frames_are_bounded_by_distinct_states() {
     let source = library_source("SB");
-    let params = ModelParams::default();
     let limits = ExploreLimits::default();
-    let reference = sequential_reference(source, &params, &limits);
-    for workers in [2usize, 3] {
-        let got = explore_with_counters(source, &params, &limits, &dcfg(workers));
-        assert_identical("SB", &format!("dist-{workers}"), &reference, &got.outcomes);
-        let bound = (workers - 1) * reference.stats.states + 1;
-        assert!(
-            got.relayed_frames >= 1 && got.relayed_frames <= bound as u64,
-            "dist-{workers}: {} frames relayed for {} states (bound {bound})",
-            got.relayed_frames,
-            reference.stats.states
-        );
+    for reduced in [false, true] {
+        let params = ModelParams {
+            reduced,
+            ..ModelParams::default()
+        };
+        let reference = sequential_reference(source, &params, &limits);
+        for workers in [2usize, 3] {
+            let mode = format!("dist-{workers}, reduced {reduced}");
+            let got = explore_with_counters(source, &params, &limits, &dcfg(workers));
+            assert_identical("SB", &mode, &reference, &got.outcomes);
+            let bound = (workers - 1) * reference.stats.states + 1;
+            assert!(
+                got.relayed_frames >= 1 && got.relayed_frames <= bound as u64,
+                "{mode}: {} frames relayed for {} states (bound {bound})",
+                got.relayed_frames,
+                reference.stats.states
+            );
+        }
     }
 }
 
@@ -193,36 +201,52 @@ fn distributed_composes_with_max_resident() {
     }
 }
 
-/// Composition with `--reduced`: worker-local sleep memos. As for the
-/// in-process engines, the reduction guarantees identical *finals*
-/// (counts are exactly what it shrinks, and shard arrival order makes
-/// them schedule-dependent), so finals-identity is the pin.
+/// Composition with `--reduced`. The eager choice reads only the state,
+/// so reduced counts do not depend on the engine: sequential, two
+/// threads, a 16-state resident budget, and 2 or 3 worker processes
+/// all visit the same states and fire the same transitions. The finals
+/// are the unreduced search's.
 #[test]
 fn distributed_reduced_matches_unreduced_finals() {
     let limits = ExploreLimits::default();
-    for name in ["MP", "SB", "MP+syncs", "2+2W"] {
+    for name in ["MP", "SB", "WRC+pos", "2+2W"] {
         let source = library_source(name);
-        let reference = sequential_reference(source, &ModelParams::default(), &limits);
-        let reduced_params = ModelParams {
-            sleep_sets: true,
+        let unreduced = sequential_reference(source, &ModelParams::default(), &limits);
+        let reduced = ModelParams {
+            reduced: true,
             ..ModelParams::default()
         };
-        let got = outcomes_distributed(source, &reduced_params, &limits, &dcfg(2));
+        let reference = sequential_reference(source, &reduced, &limits);
         assert!(
-            !got.stats.truncated,
-            "{name}: reduced distributed truncated ({:?})",
-            got.stats.store_error
+            unreduced.finals == reference.finals,
+            "{name}: reduced finals diverged ({} vs {})",
+            unreduced.finals.len(),
+            reference.finals.len()
         );
-        // Finals-identity is the whole guarantee: expansion counts are
-        // schedule-dependent (a state re-expands when it later arrives
-        // with a smaller sleep set, and cross-shard arrival order can
-        // be adversarial versus sequential DFS), so no count is pinned.
         assert!(
-            reference.finals == got.finals,
-            "{name}: reduced distributed finals diverged ({} vs {})",
-            reference.finals.len(),
-            got.finals.len()
+            reference.stats.states * 2 < unreduced.stats.states,
+            "{name}: the reduction did not reduce"
         );
+        let test = parse(source).expect("source parses");
+        let (reg_obs, mem_obs) = observations(&test);
+        let in_process = |params: &ModelParams, threads: usize| {
+            let state = build_system(&test, params);
+            let limits = ExploreLimits {
+                threads,
+                ..limits.clone()
+            };
+            explore_limited(&state, &reg_obs, &mem_obs, &limits)
+        };
+        let spill = ModelParams {
+            max_resident_states: 16,
+            ..reduced.clone()
+        };
+        assert_identical(name, "threads=2", &reference, &in_process(&reduced, 2));
+        assert_identical(name, "max_resident 16", &reference, &in_process(&spill, 1));
+        for workers in [2, 3] {
+            let got = outcomes_distributed(source, &reduced, &limits, &dcfg(workers));
+            assert_identical(name, &format!("dist-{workers}"), &reference, &got);
+        }
     }
 }
 
@@ -377,45 +401,39 @@ fn checkpoint_pause_resume_is_byte_identical() {
     );
 }
 
-/// The reduced-mode half of a pause: the dumped visited entries carry
-/// their sleep sets, `SeedVisited` puts them back on a different shard
-/// count, and the resumed run reaches the unreduced finals.
+/// The reduced half of a pause: a reduced run paused on 2 workers and
+/// resumed on 3 completes to the counts of an uninterrupted sequential
+/// reduced run, and to the unreduced finals.
 #[test]
-fn checkpoint_pause_resume_sleep_sets() {
+fn checkpoint_pause_resume_reduced() {
     let source = library_source("SB");
     let full = ExploreLimits::default();
-    let reference = sequential_reference(source, &ModelParams::default(), &full);
+    let unreduced = sequential_reference(source, &ModelParams::default(), &full);
     let reduced = ModelParams {
-        sleep_sets: true,
+        reduced: true,
         ..ModelParams::default()
     };
+    let reference = sequential_reference(source, &reduced, &full);
     let tmp =
         std::env::temp_dir().join(format!("ppcmem-distrib-ck-reduced-{}", std::process::id()));
     let _ = std::fs::remove_file(&tmp);
     let mut cfg = dcfg(2);
     cfg.checkpoint = Some(tmp.clone());
     let budget = ExploreLimits {
-        max_states: 300,
+        max_states: reference.stats.states / 2,
         ..ExploreLimits::default()
     };
     let paused = outcomes_distributed(source, &reduced, &budget, &cfg);
     assert!(paused.stats.truncated, "budget pause must truncate");
     let ck = load_checkpoint(&tmp).expect("graceful pause must write the checkpoint");
-    assert!(
-        ck.visited.iter().any(|e| !e.sleep.is_empty()),
-        "the dump must carry sleep sets"
-    );
+    assert!(!ck.visited.is_empty(), "the dump carries the visited set");
     cfg.workers = 3;
     let resumed = outcomes_distributed(source, &reduced, &full, &cfg);
+    assert_identical("SB", "reduced pause+resume", &reference, &resumed);
     assert!(
-        !resumed.stats.truncated,
-        "resume must complete ({:?})",
-        resumed.stats.store_error
-    );
-    assert!(
-        reference.finals == resumed.finals,
+        unreduced.finals == resumed.finals,
         "reduced pause+resume finals diverged ({} vs {})",
-        reference.finals.len(),
+        unreduced.finals.len(),
         resumed.finals.len()
     );
     assert!(
@@ -424,57 +442,36 @@ fn checkpoint_pause_resume_sleep_sets() {
     );
 }
 
-/// Checkpoints written by an earlier build, committed under
-/// `tests/data/checkpoint_v1/`, resume under this one on a different
+/// A checkpoint written by an earlier build, committed under
+/// `tests/data/checkpoint_v1/`, resumes under this one on a different
 /// shard count: the file format, the frame records' state bytes and
-/// the visited entries, sleep sets included, are compatibility
-/// surfaces. `mp_unreduced.ck` is MP paused by a 500-state budget on 2
-/// workers; `sb_sleep_sets.ck` is SB under sleep sets paused by a
-/// 300-state budget on 2 workers, with non-empty sleep sets dumped.
+/// the visited entries (with their retired, empty set slots) are
+/// compatibility surfaces. `mp_unreduced.ck` is MP paused by a
+/// 500-state budget on 2 workers.
 #[test]
 fn committed_checkpoints_resume() {
     let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/checkpoint_v1");
-    let resume = |file: &str, name: &str, params: &ModelParams| -> Outcomes {
-        let tmp = std::env::temp_dir().join(format!("ppcmem-{}-{file}", std::process::id()));
-        std::fs::copy(data.join(file), &tmp).expect("copy fixture");
-        let mut cfg = dcfg(3);
-        cfg.checkpoint = Some(tmp.clone());
-        let got = outcomes_distributed(
-            library_source(name),
-            params,
-            &ExploreLimits::default(),
-            &cfg,
-        );
-        assert!(
-            !tmp.exists(),
-            "{file}: a completed resume deletes the checkpoint"
-        );
-        got
-    };
-
+    let file = "mp_unreduced.ck";
+    let tmp = std::env::temp_dir().join(format!("ppcmem-{}-{file}", std::process::id()));
+    std::fs::copy(data.join(file), &tmp).expect("copy fixture");
+    let mut cfg = dcfg(3);
+    cfg.checkpoint = Some(tmp.clone());
     let params = ModelParams::default();
-    let mp = resume("mp_unreduced.ck", "MP", &params);
+    let mp = outcomes_distributed(
+        library_source("MP"),
+        &params,
+        &ExploreLimits::default(),
+        &cfg,
+    );
+    assert!(
+        !tmp.exists(),
+        "{file}: a completed resume deletes the checkpoint"
+    );
     let reference = sequential_reference(library_source("MP"), &params, &ExploreLimits::default());
     assert_identical("MP", "committed checkpoint", &reference, &mp);
     assert_eq!(
         (mp.stats.states, mp.stats.transitions, mp.finals.len()),
         (1155, 3383, 4)
-    );
-
-    let reduced = ModelParams {
-        sleep_sets: true,
-        ..ModelParams::default()
-    };
-    let ck = load_checkpoint(&data.join("sb_sleep_sets.ck")).expect("fixture loads");
-    assert!(ck.visited.iter().any(|e| !e.sleep.is_empty()));
-    let sb = resume("sb_sleep_sets.ck", "SB", &reduced);
-    let reference = sequential_reference(library_source("SB"), &params, &ExploreLimits::default());
-    assert!(!sb.stats.truncated, "{:?}", sb.stats.store_error);
-    assert!(
-        reference.finals == sb.finals,
-        "SB fixture finals diverged ({} vs {})",
-        reference.finals.len(),
-        sb.finals.len()
     );
 }
 

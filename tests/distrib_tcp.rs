@@ -7,7 +7,7 @@
 //! untruncated loopback-TCP runs must be **byte-identical**
 //! (`Outcomes::finals` element-wise, plus visited-state / transition /
 //! final-hit counts) to the sequential in-process engine — on a
-//! library ladder, composed with spill stores / sleep-set reduction /
+//! library ladder, composed with spill stores / the reduction /
 //! context bounding, through a checkpoint pause + resharded resume,
 //! and on random programs from the shared fuzz generator.
 //!
@@ -125,10 +125,10 @@ fn tcp_matches_sequential_on_ladder() {
     }
 }
 
-/// Composition: per-worker spill stores (`--max-resident`), sleep-set
-/// reduction (`--reduced`, finals-identity as for every reduced
-/// engine), and a context bound that must surface as `bounded` — all
-/// over the TCP transport.
+/// Composition: per-worker spill stores (`--max-resident`), the
+/// eager-`Finish` reduction (`--reduced`: the unreduced finals, and the
+/// sequential reduced engine's counts), and a context bound that must
+/// surface as `bounded` — all over the TCP transport.
 #[test]
 fn tcp_composes_with_engine_features() {
     let limits = ExploreLimits::default();
@@ -145,17 +145,12 @@ fn tcp_composes_with_engine_features() {
     let source = library_source("MP+syncs");
     let reference = sequential_reference(source, &ModelParams::default(), &limits);
     let reduced = ModelParams {
-        sleep_sets: true,
+        reduced: true,
         ..ModelParams::default()
     };
     let got = outcomes_distributed(source, &reduced, &limits, &tcfg(2));
-    assert!(
-        !got.stats.truncated,
-        "MP+syncs: reduced TCP run truncated ({:?})",
-        got.stats.store_error
-    );
-    // Finals-identity is the reduction's whole guarantee; counts are
-    // schedule-dependent (see tests/distrib_oracle.rs).
+    let reduced_reference = sequential_reference(source, &reduced, &limits);
+    assert_identical("MP+syncs", "tcp-2+reduced", &reduced_reference, &got);
     assert!(
         reference.finals == got.finals,
         "MP+syncs: reduced TCP finals diverged ({} vs {})",

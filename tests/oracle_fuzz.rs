@@ -24,16 +24,19 @@
 //! per-program distinct-state budget — raise it to differentially check
 //! the bigger tail of generated programs instead of skipping them).
 //!
-//! The `por_`-prefixed tests are the sleep-set partial-order-reduction
-//! differential: reduced exploration must reproduce the unreduced
-//! engine's `Outcomes::finals` byte for byte (over a *disjoint* seed
-//! range — `ORACLE_POR_SEED`/`ORACLE_POR_PROGRAMS`/`ORACLE_POR_BUDGET`),
-//! and the footprint-based independence relation the reduction relies on
-//! must actually commute on sampled enabled pairs.
+//! The `por_`-prefixed tests are the reduction differential: the
+//! eager-`Finish` search (`ModelParams::reduced`) must reproduce the
+//! unreduced engine's `Outcomes::finals` byte for byte (over a
+//! *disjoint* seed range —
+//! `ORACLE_POR_SEED`/`ORACLE_POR_PROGRAMS`/`ORACLE_POR_BUDGET`), with
+//! the same counts in every engine configuration; debug builds also
+//! audit the stability and commutation of every eager choice. The
+//! footprint-based independence relation must actually commute on
+//! sampled enabled pairs.
 
 mod common;
 
-use common::{env_u64, gen_program, has_rmw};
+use common::{env_u64, gen_program, has_rmw, has_wrong_path};
 use ppcmem::bits::Prng;
 use ppcmem::idl::Reg;
 use ppcmem::litmus::harness::{run_one, run_suite, HarnessConfig};
@@ -386,14 +389,15 @@ fn harness_reports_expired_deadline_as_inconclusive() {
     assert!(!report.conclusive());
 }
 
-// ---- Sleep-set partial-order reduction differential ------------------
+// ---- Reduction differential ------------------------------------------
 
 /// Explore one generated program with the unreduced sequential engine
-/// and with sleep-set reduction enabled (randomized reduced-engine
-/// worker count and spill bound, so the reduced frontier codec and the
-/// sharded sleep map both get fuzzed), and require the reduction to
-/// reproduce `Outcomes::finals` byte for byte while firing no more
-/// transitions than the unreduced engine.
+/// and with the eager-`Finish` reduction, sequentially and in a
+/// randomized engine configuration (worker count, spill bound, so the
+/// reduced frontier codec gets fuzzed too). The reduction must
+/// reproduce `Outcomes::finals` byte for byte, visit a subset of the
+/// unreduced states, and count the same in both configurations: its
+/// choice reads only the state.
 fn por_differential_check(seed: u64, budget: usize) -> FuzzOutcome {
     let prog = gen_program(seed);
     let test = parse(&prog.source).unwrap_or_else(|e| {
@@ -406,7 +410,7 @@ fn por_differential_check(seed: u64, budget: usize) -> FuzzOutcome {
     let mut cfg_rng = Prng::seed_from_u64(seed ^ 0x00B5_1EE9_5E75_FFFF);
     let threads: usize = [1, 2, 3][cfg_rng.gen_range(0..3usize)];
     // Sometimes bound the resident frontier so reduced-mode frames
-    // (sleep and wake sets included) round-trip through the spill codec.
+    // round-trip through the spill codec.
     let max_resident: usize = [0, 0, 64][cfg_rng.gen_range(0..3usize)];
     let rmw = has_rmw(&prog);
     let spurious = rmw && cfg_rng.gen_range(0..4u32) == 0;
@@ -417,6 +421,18 @@ fn por_differential_check(seed: u64, budget: usize) -> FuzzOutcome {
     };
     let state = build_system(&test, &params);
     let mem_obs: Vec<(u64, usize)> = test.locations.values().map(|&a| (a, 4)).collect();
+    let explore = |params: &ModelParams, threads: usize| {
+        explore_limited(
+            &build_system(&test, params),
+            &prog.reg_obs,
+            &mem_obs,
+            &ExploreLimits {
+                threads,
+                max_states: budget,
+                deadline: None,
+            },
+        )
+    };
 
     let full = explore_limited(
         &state,
@@ -433,24 +449,16 @@ fn por_differential_check(seed: u64, budget: usize) -> FuzzOutcome {
     }
 
     let red_params = ModelParams {
-        sleep_sets: true,
-        max_resident_states: max_resident,
-        allow_spurious_stcx_failure: spurious,
-        ..ModelParams::default()
+        reduced: true,
+        ..params.clone()
     };
-    let red_state = build_system(&test, &red_params);
-    // Reduced-mode *expansions* can exceed the distinct-state count
-    // (wake-up re-visits are counted), so only the unreduced reference
-    // decides skipping; the reduced run gets headroom.
-    let red = explore_limited(
-        &red_state,
-        &prog.reg_obs,
-        &mem_obs,
-        &ExploreLimits {
-            threads,
-            max_states: budget.saturating_mul(4),
-            deadline: None,
+    let red_seq = explore(&red_params, 1);
+    let red = explore(
+        &ModelParams {
+            max_resident_states: max_resident,
+            ..red_params.clone()
         },
+        threads,
     );
 
     let context = || {
@@ -463,24 +471,33 @@ fn por_differential_check(seed: u64, budget: usize) -> FuzzOutcome {
         )
     };
     assert!(
-        !red.stats.truncated,
+        !red.stats.truncated && !red_seq.stats.truncated,
         "reduced engine truncated where the unreduced reference did not\n{}",
         context()
     );
-    // Each (state, transition) edge fires at most once under sleep sets
-    // (wake-up re-visits only fire previously-slept members), so the
-    // reduced transition count can never exceed the unreduced one.
+    // Every reduced transition is a real one, so the reduced search
+    // visits a subset of the unreduced states.
     assert!(
-        red.stats.transitions <= full.stats.transitions,
-        "reduction fired more transitions ({} vs {})\n{}",
-        red.stats.transitions,
+        red_seq.stats.states <= full.stats.states
+            && red_seq.stats.transitions <= full.stats.transitions,
+        "reduction visited more ({} states, {} transitions vs {}, {})\n{}",
+        red_seq.stats.states,
+        red_seq.stats.transitions,
+        full.stats.states,
         full.stats.transitions,
         context()
     );
+    assert_eq!(
+        (red.stats.states, red.stats.transitions),
+        (red_seq.stats.states, red_seq.stats.transitions),
+        "reduced counts depend on the engine\n{}",
+        context()
+    );
     assert!(
-        full.finals == red.finals,
-        "sleep-set reduction changed the finals (unreduced {} vs reduced {})\n{}",
+        full.finals == red.finals && full.finals == red_seq.finals,
+        "the reduction changed the finals (unreduced {} vs reduced {} / {})\n{}",
         full.finals.len(),
+        red_seq.finals.len(),
         red.finals.len(),
         context()
     );
@@ -498,6 +515,7 @@ fn por_reduced_matches_unreduced_finals() {
     let mut checked = 0usize;
     let mut skipped = 0usize;
     let mut rmw_checked = 0usize;
+    let mut wrong_path_checked = 0usize;
     for i in 0..programs {
         let seed = base.wrapping_add(i as u64);
         let outcome = std::panic::catch_unwind(|| por_differential_check(seed, budget))
@@ -519,18 +537,24 @@ fn por_reduced_matches_unreduced_finals() {
             FuzzOutcome::Checked { rmw } => {
                 checked += 1;
                 rmw_checked += usize::from(rmw);
+                wrong_path_checked += usize::from(has_wrong_path(&gen_program(seed)));
             }
             FuzzOutcome::Skipped => skipped += 1,
         }
     }
     println!(
-        "por fuzz: {checked} programs checked ({rmw_checked} with lwarx/stwcx.), \
+        "por fuzz: {checked} programs checked ({rmw_checked} with lwarx/stwcx., \
+         {wrong_path_checked} with a wrong path), \
          {skipped} skipped (base seed {base:#x})"
     );
     assert!(
         checked >= programs.div_ceil(2),
         "only {checked}/{programs} por fuzz programs fit the {budget}-state budget — \
          shrink the generator shapes or raise the budget"
+    );
+    assert!(
+        programs < 50 || wrong_path_checked > 0,
+        "no checked program ran a wrong path — widen the seed range"
     );
 }
 
@@ -539,7 +563,7 @@ fn por_reduced_matches_unreduced_finals() {
 /// deems [`independent`] really commutes: each transition leaves the
 /// other enabled, and the two interleavings converge on the *same*
 /// successor state. This ties the conservative component-mask relation
-/// to the semantic property the sleep-set soundness argument needs.
+/// to the semantic property its docs claim.
 /// Returns how many independent pairs were checked.
 fn por_commutation_check(seed: u64, max_pairs: usize) -> usize {
     let prog = gen_program(seed);
@@ -607,8 +631,8 @@ fn por_independent_pairs_commute() {
         total += por_commutation_check(seed, 16);
     }
     println!("por commutation: {total} independent pairs checked across {programs} programs");
-    // If the relation stops finding independent pairs the reduction is
-    // silently vacuous (sleep sets would never prune anything).
+    // If the relation stops finding independent pairs this test is
+    // silently vacuous.
     assert!(
         total >= programs,
         "only {total} independent pairs in {programs} programs — \
@@ -617,7 +641,7 @@ fn por_independent_pairs_commute() {
 }
 
 /// The reduction on real library tests: a small/medium slice (the full
-/// 30-test sweep runs via `conformance --reduced` in CI) must keep the
+/// 73-test sweep runs via `conformance --reduced` in CI) must keep the
 /// verdict — final-state count, witness, quantified condition — exactly,
 /// while firing no more transitions than the unreduced engine.
 #[test]
@@ -645,7 +669,7 @@ fn por_reduced_library_slice_keeps_verdicts() {
         let test = parse(e.source).expect("library parses");
         let full = run_limited(&test, &ModelParams::default(), &limits);
         let red_params = ModelParams {
-            sleep_sets: true,
+            reduced: true,
             ..ModelParams::default()
         };
         let red = run_limited(&test, &red_params, &limits);
@@ -656,7 +680,7 @@ fn por_reduced_library_slice_keeps_verdicts() {
         assert_eq!(
             (full.finals, full.witnessed, full.holds),
             (red.finals, red.witnessed, red.holds),
-            "{name}: sleep-set reduction changed the verdict"
+            "{name}: the reduction changed the verdict"
         );
         assert!(
             red.stats.transitions <= full.stats.transitions,
@@ -692,7 +716,7 @@ fn por_reduced_library_finals_byte_identical() {
     let full_state = build_system(&test, &ModelParams::default());
     let full = explore_limited(&full_state, &reg_obs, &mem_obs, &limits);
     let red_params = ModelParams {
-        sleep_sets: true,
+        reduced: true,
         ..ModelParams::default()
     };
     let red_state = build_system(&test, &red_params);
@@ -704,4 +728,87 @@ fn por_reduced_library_finals_byte_identical() {
         full.finals.len(),
         red.finals.len()
     );
+}
+
+/// A wrong-path `lwarx` whose reservation outlives its branch: `P0`
+/// reads `y=1`, so `beq L` is taken and the `lwarx` is on the wrong
+/// path, but it may satisfy (reserving `x`) before the branch finishes,
+/// and the branch's `prune_children` removes the instance, not the
+/// reservation — so the `stwcx.` after the label can succeed and write
+/// `x=2`. `Dep` makes the `lwarx` address depend on the `lwz`; the
+/// twin does not.
+const WRONG_PATH_LWARX: [(&str, &str); 2] = [
+    (
+        "WrongPathLwarxDep",
+        "POWER WrongPathLwarxDep
+{ 0:r1=x; 0:r2=y; 0:r7=1; 0:r8=2; x=0; y=1; }
+ P0 ;
+ lwz r5,0(r2) ;
+ xor r9,r5,r5 ;
+ cmpw r5,r7 ;
+ beq L ;
+ lwarx r6,r9,r1 ;
+ L: ;
+ stwcx. r8,r0,r1 ;
+exists (x=2)
+",
+    ),
+    (
+        "WrongPathLwarx",
+        "POWER WrongPathLwarx
+{ 0:r1=x; 0:r2=y; 0:r7=1; 0:r8=2; x=0; y=1; }
+ P0 ;
+ lwz r5,0(r2) ;
+ cmpw r5,r7 ;
+ beq L ;
+ lwarx r6,r0,r1 ;
+ L: ;
+ stwcx. r8,r0,r1 ;
+exists (x=2)
+",
+    ),
+];
+
+/// The reduced finals of the wrong-path programs equal the exhaustive
+/// ones, `x=2` included, sequentially and on two threads. Firing *any*
+/// enabled `Finish` eagerly — branches included — fails this test: the
+/// branch finishes before the wrong-path `lwarx` can reserve, and `x=2`
+/// is lost (in debug builds the commutation audit fails first).
+#[test]
+fn por_wrong_path_reservation_keeps_finals() {
+    for (name, source) in WRONG_PATH_LWARX {
+        let test = parse(source).expect("wrong-path program parses");
+        let mem_obs: Vec<(u64, usize)> = test.locations.values().map(|&a| (a, 4)).collect();
+        let reg_obs = [(0, Reg::Gpr(6))];
+        for threads in [1, 2] {
+            let limits = ExploreLimits {
+                threads,
+                max_states: ModelParams::DEFAULT_MAX_STATES,
+                deadline: None,
+            };
+            let run = |reduced: bool| {
+                let params = ModelParams {
+                    reduced,
+                    ..ModelParams::default()
+                };
+                let finals =
+                    explore_limited(&build_system(&test, &params), &reg_obs, &mem_obs, &limits);
+                (finals, run_limited(&test, &params, &limits))
+            };
+            let (full, full_verdict) = run(false);
+            let (red, red_verdict) = run(true);
+            assert!(!full.stats.truncated && !red.stats.truncated);
+            assert!(
+                full_verdict.witnessed,
+                "{name}: x=2 is reachable exhaustively"
+            );
+            assert!(red_verdict.witnessed, "{name}: the reduction lost x=2");
+            assert!(
+                full.finals == red.finals,
+                "{name} ({threads} threads): reduced finals diverged ({} vs {})",
+                full.finals.len(),
+                red.finals.len()
+            );
+        }
+    }
 }

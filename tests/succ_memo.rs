@@ -11,7 +11,7 @@
 //! that audit is compiled out and the memo runs as shipped) and
 //! programs from the `tests/common` fuzz generator — `lwarx`/`stwcx.`
 //! and `sync` included, coverage asserted. Four configurations each:
-//! sequential, two work-stealing threads, sleep-set reduction, and a
+//! sequential, two work-stealing threads, the eager-`Finish` reduction, and a
 //! 16-state resident budget that spills through the codec.
 
 mod common;
@@ -22,7 +22,7 @@ use ppcmem::model::{
     explore_limited, explore_limited_memoless, ExploreLimits, ModelParams, Outcomes,
 };
 
-/// `(name, worker threads, sleep sets, resident budget)`.
+/// `(name, worker threads, reduced, resident budget)`.
 const MODES: [(&str, usize, bool, usize); 4] = [
     ("sequential", 1, false, 0),
     ("threads = 2", 2, false, 0),
@@ -59,7 +59,7 @@ fn differential(
 ) -> Option<Outcomes> {
     let (name, threads, reduced, resident) = mode;
     let params = ModelParams {
-        sleep_sets: reduced,
+        reduced,
         max_resident_states: resident,
         ..ModelParams::default()
     };
