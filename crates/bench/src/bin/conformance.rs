@@ -6,8 +6,8 @@
 //! Usage:
 //!
 //! ```text
-//! conformance [--jobs N] [--model-threads N] [--steal-batch N]
-//!             [--max-states N] [--max-resident N] [--timeout-secs S]
+//! conformance [--jobs N] [--model-threads N] [--max-states N]
+//!             [--max-resident N] [--timeout-secs S]
 //!             [--context-bound N] [--reduced] [--distributed N]
 //!             [--cache DIR] [--expect-cached]
 //!             [--json PATH] [--library-only] [--paper-only] [--quiet]
@@ -30,7 +30,7 @@
 //!
 //! `--distributed N` runs each exploration on N worker *processes*
 //! (digest-partitioned visited set, shard-routed frontier batches —
-//! `crates/model/src/distrib.rs`); the binary re-executes itself as
+//! `crates/model/src/distrib/`); the binary re-executes itself as
 //! the workers. Verdicts and counts are byte-identical to the
 //! in-process engines, so the exit policy is unchanged.
 //!
@@ -60,7 +60,6 @@ use std::time::Duration;
 const VALUE_FLAGS: &[&str] = &[
     "--jobs",
     "--model-threads",
-    "--steal-batch",
     "--max-states",
     "--max-resident",
     "--timeout-secs",
@@ -79,8 +78,8 @@ const BOOL_FLAGS: &[&str] = &[
     "--expect-cached",
 ];
 
-const USAGE: &str = "conformance [--jobs N] [--model-threads N] [--steal-batch N] \
-     [--max-states N] [--max-resident N] [--timeout-secs S] [--context-bound N] \
+const USAGE: &str = "conformance [--jobs N] [--model-threads N] [--max-states N] \
+     [--max-resident N] [--timeout-secs S] [--context-bound N] \
      [--reduced] [--distributed N] [--tcp] [--cache DIR] [--expect-cached] \
      [--json PATH] [--library-only] [--paper-only] [--quiet]";
 
@@ -93,7 +92,6 @@ fn main() {
     check_flags("conformance", &args, VALUE_FLAGS, BOOL_FLAGS, USAGE);
     let jobs: usize = parse_arg("conformance", &args, "--jobs", 0);
     let model_threads: usize = parse_arg("conformance", &args, "--model-threads", 1);
-    let steal_batch: usize = parse_nonzero_arg("conformance", &args, "--steal-batch", 0);
     let max_states: usize = parse_arg(
         "conformance",
         &args,
@@ -128,7 +126,6 @@ fn main() {
     let cfg = HarnessConfig {
         params: ModelParams {
             threads: model_threads,
-            steal_batch,
             max_states,
             max_resident_states: max_resident,
             reduced,

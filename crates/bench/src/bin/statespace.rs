@@ -4,12 +4,11 @@
 //!
 //! Prints, for a ladder of tests of growing size, the number of distinct
 //! states, transitions, final states and wall-clock time of exhaustive
-//! exploration — sequentially and with the parallel work-stealing
-//! engine (`--threads N`, default 4; `--steal-batch N` sets the number
-//! of states a thief moves per steal; `--max-resident N` bounds the
-//! in-memory frontier, spilling overflow to disk through the canonical
-//! state codec) — cross-checking that both engines produce identical
-//! verdicts. `--reduced` turns on the eager-`Finish` reduction
+//! exploration — on one thread and on a pool of `--threads N` (default
+//! 4) depth-first frontiers over one store (`--max-resident N` bounds
+//! the in-memory frontier, spilling overflow to disk through the
+//! canonical state codec) — cross-checking that both pool sizes produce
+//! identical verdicts. `--reduced` turns on the eager-`Finish` reduction
 //! (identical finals, about 10× fewer states; its choice reads only the
 //! state, so the cross-check still compares finals and state counts);
 //! `--context-bound N` caps context switches per execution
@@ -19,7 +18,7 @@
 //!
 //! `--distributed N` swaps the in-process parallel engine for the
 //! multi-process distributed oracle (N forked workers, each owning a
-//! digest-prefix shard of the visited set; `crates/model/src/distrib.rs`),
+//! digest-prefix shard of the visited set; `crates/model/src/distrib/`),
 //! cross-checked against the sequential engine under the same rules;
 //! each row then ends with the frame records the coordinator relayed
 //! (the engine's codec-and-socket traffic, to set against `states`).
@@ -68,7 +67,6 @@ use std::time::Instant;
 /// Flags taking a value (the next argument is consumed).
 const VALUE_FLAGS: &[&str] = &[
     "--threads",
-    "--steal-batch",
     "--max-resident",
     "--context-bound",
     "--distributed",
@@ -80,9 +78,9 @@ const VALUE_FLAGS: &[&str] = &[
 /// Boolean flags.
 const BOOL_FLAGS: &[&str] = &["--reduced", "--tcp"];
 
-const USAGE: &str = "statespace [--threads N] [--steal-batch N] [--max-resident N] \
-     [--context-bound N] [--reduced] [--distributed N] [--checkpoint PATH] \
-     [--tcp] [--listen ADDR] [--connect HOST:PORT] [--cache DIR]";
+const USAGE: &str = "statespace [--threads N] [--max-resident N] [--context-bound N] \
+     [--reduced] [--distributed N] [--checkpoint PATH] [--tcp] [--listen ADDR] \
+     [--connect HOST:PORT] [--cache DIR]";
 
 /// The ladder of representative tests, roughly by state-space size.
 pub const LADDER: &[&str] = &[
@@ -124,7 +122,6 @@ fn main() {
     // 1-CPU host only measure scheduler churn. An explicit --threads is
     // honoured as requested.
     let threads: usize = parse_arg("statespace", &args, "--threads", 4.min(resolve_threads(0)));
-    let steal_batch: usize = parse_nonzero_arg("statespace", &args, "--steal-batch", 0);
     let max_resident: usize = parse_arg("statespace", &args, "--max-resident", 0);
     let context_bound: usize = parse_nonzero_arg("statespace", &args, "--context-bound", 0);
     let distributed: usize = parse_arg("statespace", &args, "--distributed", 0);
@@ -144,7 +141,6 @@ fn main() {
     }
 
     let params = ModelParams {
-        steal_batch,
         max_resident_states: max_resident,
         reduced,
         max_context_switches: context_bound,
@@ -183,8 +179,7 @@ fn main() {
         );
     }
     println!(
-        "parallel engine: work-stealing, {threads} workers, steal batch {}{}{}{}",
-        params.effective_steal_batch(),
+        "parallel engine: {threads}-worker pool{}{}{}",
         if max_resident == 0 {
             String::new()
         } else {

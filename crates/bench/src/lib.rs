@@ -15,7 +15,7 @@
 /// Every parser comes in two layers: a `try_*` core returning
 /// `Result<_, String>` (unit-testable, message only — no process exit)
 /// and a thin wrapper that prints `prog: message` and exits 2 on error.
-/// The binaries share these so a bad `--steal-batch 0` fails with the
+/// The binaries share these so a bad `--context-bound 0` fails with the
 /// same words everywhere instead of silently defaulting in one tool and
 /// erroring in another.
 pub mod args {
@@ -61,11 +61,11 @@ pub mod args {
     /// Fallible core of [`parse_nonzero_arg`]: like [`try_parse_arg`]
     /// for a `usize` flag whose *explicit* value must be positive.
     ///
-    /// Flags like `--steal-batch` and `--context-bound` use `0`
-    /// internally as "unset/engine default", but a user typing `0` is
-    /// asking for something meaningless (a zero-state steal batch, a
-    /// schedule with no context switches at all) — reject it and point
-    /// at the right spelling instead of silently reinterpreting.
+    /// Flags like `--context-bound` use `0` internally as "unset/engine
+    /// default", but a user typing `0` is asking for something
+    /// meaningless (a schedule with no context switches at all) —
+    /// reject it and point at the right spelling instead of silently
+    /// reinterpreting.
     ///
     /// # Errors
     ///
@@ -164,13 +164,13 @@ pub mod args {
         #[test]
         fn nonzero_rejects_explicit_zero_but_keeps_zero_default() {
             // An explicit `0` is a usage error…
-            let args = argv(&["--steal-batch", "0"]);
-            let err = try_parse_nonzero(&args, "--steal-batch", 0).expect_err("zero accepted");
-            assert!(err.contains("--steal-batch"), "unhelpful message: {err}");
+            let args = argv(&["--context-bound", "0"]);
+            let err = try_parse_nonzero(&args, "--context-bound", 0).expect_err("zero accepted");
+            assert!(err.contains("--context-bound"), "unhelpful message: {err}");
             assert!(err.contains("positive"), "unhelpful message: {err}");
             // …but an absent flag keeps the internal `0 = engine
             // default` sentinel.
-            assert_eq!(try_parse_nonzero(&args, "--context-bound", 0), Ok(0));
+            assert_eq!(try_parse_nonzero(&argv(&[]), "--context-bound", 0), Ok(0));
             // Positive explicit values pass through.
             let args = argv(&["--context-bound", "2"]);
             assert_eq!(try_parse_nonzero(&args, "--context-bound", 0), Ok(2));

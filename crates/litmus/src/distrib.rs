@@ -255,7 +255,7 @@ fn serve_one_job(mut sock: Conn) -> io::Result<()> {
 /// checkpoint fingerprint that stops a resume from silently mixing two
 /// different explorations. Liveness tunables are deliberately excluded
 /// — a resume may use different timeouts.
-fn job_digest(source: &str, params: &ModelParams) -> u64 {
+pub(crate) fn job_digest(source: &str, params: &ModelParams) -> u64 {
     let mut w = Writer::new();
     w.bytes(source.as_bytes());
     distrib::encode_params(&mut w, params);

@@ -430,3 +430,15 @@ fn bounded_unwitnessed_is_never_conclusive() {
         .replace("\"conclusive\":false", "\"conclusive\":true");
     assert!(TestReport::from_json_line(&line).is_err());
 }
+
+/// The checkpoint fingerprint of a default-params job is pinned: the
+/// params encoding keeps a literal 32 in the slot of the retired
+/// steal-batch knob, so checkpoints written before its removal (such as
+/// the committed `mp_unreduced.ck`) still resume.
+#[test]
+fn default_params_job_digest_is_pinned() {
+    assert_eq!(
+        crate::distrib::job_digest(MP_SRC, &ModelParams::default()),
+        0xb66c_5404_4a98_f6cf
+    );
+}

@@ -249,28 +249,39 @@ pub(super) fn decode_finals(r: &mut Reader<'_>) -> Result<BTreeSet<FinalState>, 
 }
 
 /// Serialise [`ModelParams`] for job shipping (all fields, in
-/// declaration order; additive like every codec in the repo).
+/// declaration order; additive like every codec in the repo). The sixth
+/// slot belonged to the removed steal-batch knob: it holds a literal 32,
+/// that knob's old default, so a default job's encoding — and with it
+/// the checkpoint fingerprint — is what earlier builds wrote.
 pub fn encode_params(w: &mut Writer, p: &ModelParams) {
     w.usizev(p.max_instances_per_thread);
     w.bool(p.coherence_commitments);
     w.bool(p.allow_spurious_stcx_failure);
     w.usizev(p.threads);
     w.usizev(p.max_states);
-    w.usizev(p.steal_batch);
+    w.usizev(RETIRED_STEAL_BATCH);
     w.usizev(p.max_resident_states);
     w.bool(p.reduced);
     w.usizev(p.max_context_switches);
 }
 
-/// Inverse of [`encode_params`].
+/// What [`encode_params`] writes in the retired steal-batch slot.
+const RETIRED_STEAL_BATCH: usize = 32;
+
+/// Inverse of [`encode_params`]; the retired slot is read and ignored.
 pub fn decode_params(r: &mut Reader<'_>) -> Result<ModelParams, DecodeError> {
+    let max_instances_per_thread = r.usizev()?;
+    let coherence_commitments = r.bool()?;
+    let allow_spurious_stcx_failure = r.bool()?;
+    let threads = r.usizev()?;
+    let max_states = r.usizev()?;
+    r.usizev()?;
     Ok(ModelParams {
-        max_instances_per_thread: r.usizev()?,
-        coherence_commitments: r.bool()?,
-        allow_spurious_stcx_failure: r.bool()?,
-        threads: r.usizev()?,
-        max_states: r.usizev()?,
-        steal_batch: r.usizev()?,
+        max_instances_per_thread,
+        coherence_commitments,
+        allow_spurious_stcx_failure,
+        threads,
+        max_states,
         max_resident_states: r.usizev()?,
         reduced: r.bool()?,
         max_context_switches: r.usizev()?,

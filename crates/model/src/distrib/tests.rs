@@ -282,7 +282,6 @@ fn params_codec_round_trips() {
         allow_spurious_stcx_failure: false,
         threads: 3,
         max_states: 12345,
-        steal_batch: 9,
         max_resident_states: 64,
         reduced: true,
         max_context_switches: 5,

@@ -1,7 +1,8 @@
 //! The worker side: [`crate::oracle`]'s depth-first engine — the same
-//! `DfsFrontier` the sequential oracle drives — plus routing: successors
-//! owned by another shard leave through the outbox instead of entering
-//! the local frontier, and frames owned by this one arrive as messages.
+//! `DfsFrontier` every in-process pool worker drives — plus routing:
+//! successors owned by another shard leave through the outbox instead of
+//! entering the local frontier, and frames owned by this one arrive as
+//! messages.
 //!
 //! Admission sits in front of the codec on both ends of the link (the
 //! soundness argument is in the [module docs](super), *Dedup before
@@ -360,7 +361,7 @@ impl<'a> Worker<'a> {
                 continue;
             }
 
-            // No message pending: one step of the sequential engine,
+            // No message pending: one step of the pool worker's loop,
             // except that successors owned by another shard are routed
             // instead of admitted.
             let frame = match self.frontier.pop() {

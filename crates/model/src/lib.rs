@@ -24,12 +24,12 @@
 //! and [`oracle`] computes the set of all architecturally allowed final
 //! states of a test (the paper's exhaustive mode), or drives a single
 //! deterministic execution (sequential mode, used for the §7 conformance
-//! testing). Exhaustive exploration runs either on the sequential
-//! depth-first engine or, for [`ModelParams::threads`] `>= 2`, on a
-//! work-stealing parallel engine (per-worker deques, batched stealing
-//! tuned by [`ModelParams::steal_batch`], a digest-sharded visited set,
-//! and a pending-count termination detector) that visits the same state
-//! envelope and produces bit-identical [`oracle::Outcomes`].
+//! testing). Exhaustive exploration runs on a pool of
+//! [`ModelParams::threads`] depth-first frontiers over one
+//! digest-sharded store (a pool of one on the calling thread; busy
+//! workers donate half their stack to idle ones), and every pool size
+//! visits the same state envelope and produces bit-identical
+//! [`oracle::Outcomes`].
 
 pub mod distrib;
 pub mod net;

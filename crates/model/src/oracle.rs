@@ -5,40 +5,43 @@
 //! the set of all allowed behaviours of intricate test cases, to provide
 //! a reference for hardware and software development" (paper abstract).
 //!
-//! Exhaustive exploration comes in two observably equivalent flavours:
+//! Every in-process exhaustive exploration is a **pool** of
+//! [`ModelParams::threads`] depth-first frontiers (`DfsFrontier`) over
+//! one shared [`StateStore`]. Each worker drives its own frontier
+//! through `DfsFrontier::step`, the expand → admit → spill body the
+//! distributed workers ([`crate::distrib`]) run too. A pool of one runs
+//! on the calling thread and spawns nothing.
 //!
-//! - a **sequential depth-first search** (the historical implementation),
-//!   used when [`ModelParams::threads`] is `1`;
-//! - a **parallel work-stealing search** used for `threads >= 2`: each
-//!   worker owns a deque of unexpanded states, popping from its own back
-//!   (depth-first locality) and, when dry, stealing a batch
-//!   ([`ModelParams::steal_batch`]) from the front of a victim's deque.
-//!   Successor states are deduplicated against a digest-sharded visited
-//!   set (one lock per shard, so contention is negligible), and the
-//!   per-worker final-state sets and statistics are merged
-//!   deterministically (final states live in a `BTreeSet`, so merge
-//!   order cannot matter). Termination is detected by a global count of
-//!   *pending* states — states enqueued anywhere or mid-expansion — a
-//!   worker only retires when every deque is empty **and** no expansion
-//!   is in flight (`pending == 0`).
+//! - **Same states at every size.** A state is expanded iff its digest
+//!   wins the insertion race in the store's digest-sharded visited set,
+//!   and the per-worker final-state sets merge into a `BTreeSet`, so for
+//!   any run that does not exhaust its budget the resulting
+//!   [`Outcomes::finals`] are identical bit for bit at every pool size,
+//!   and so are the visited-state and transition counts. The
+//!   `parallel_oracle` integration tests and the randomized `oracle_fuzz`
+//!   differential tests pin this down.
+//! - **Donation on demand.** After each step a worker reads the pool's
+//!   idle count, a relaxed atomic. When another worker is idle, the
+//!   stack holds at least two frames and the shared slot is empty, the
+//!   worker moves the bottom (oldest) half of its stack there. The
+//!   oldest frames root the largest unexplored subtrees. No step takes a
+//!   lock otherwise.
+//! - **Termination under one lock.** A dry worker, holding the pool
+//!   lock, takes the shared frames, else one spilled segment, else counts
+//!   itself idle and waits for a donation. Spills happen only in busy
+//!   workers, so when the idle count reaches the pool size no frame is
+//!   left in any stack, in the shared slot or on disk: the search is
+//!   over.
+//! - **Limits.** Workers claim states against the budget one at a time
+//!   (a failed claim is rolled back, so a truncated run reports exactly
+//!   the states it expanded) and poll the wall-clock deadline every
+//!   `DEADLINE_POLL_PERIOD` claims. A spill-store failure ends the run
+//!   truncated, with the failure in [`ExplorationStats::store_error`].
 //!
-//! The earlier level-synchronous sharded-frontier BFS (PR 1) stalled all
-//! workers at a barrier after every level; work stealing removes the
-//! barrier, so a single deep branch no longer serialises the whole
-//! machine and workers stay busy across level boundaries.
-//!
-//! Both flavours visit exactly the same reachable state set — a state is
-//! expanded iff its digest wins the insertion race in the shared visited
-//! set, which is keyed by the same digests the sequential engine uses —
-//! so for any run that does not exhaust its state budget the resulting
-//! [`Outcomes::finals`] are identical bit for bit, and so are the
-//! visited-state and transition counts. The `parallel_oracle`
-//! integration tests and the randomized `oracle_fuzz` differential
-//! tests pin this down. The paper's §8 point that exhaustive checking
-//! is "combinatorially challenging" is exactly why the parallel engine
-//! exists: state expansion (clone + transition application + eager
-//! deterministic progress) dominates the cost and parallelises
-//! embarrassingly.
+//! The paper's §8 point that exhaustive checking is "combinatorially
+//! challenging" is why the pool exists: state expansion (clone +
+//! transition application + eager deterministic progress) dominates the
+//! cost and parallelises embarrassingly.
 //!
 //! ## Successor memo
 //!
@@ -48,12 +51,10 @@
 //! the storage subsystem) keep firing the same transition on that same
 //! component and re-deriving the same successor component. Every
 //! exploring worker therefore owns one bounded, direct-mapped
-//! `SuccMemo` (`DfsFrontier` owns it for the sequential engine and for
-//! each distributed worker; each work-stealing worker owns its own —
-//! no lock, no thread-local): keyed by the transition plus the
-//! identities of the components in its R ∪ W set — the one thread's
-//! `Arc`, the storage `Arc`, the values of the id allocators — and
-//! valued by the successor's versions of the same components. A hit is
+//! `SuccMemo` (each `DfsFrontier` owns one — no lock, no thread-local):
+//! keyed by the transition plus the identities of the components in its
+//! R ∪ W set — the one thread's `Arc`, the storage `Arc`, the values of
+//! the id allocators — and valued by the successor's versions of the same components. A hit is
 //! the state's clone with those swapped in: no `apply`, no eager-progress
 //! advance, and the swapped-in components bring their cached digests
 //! and transition enumerations with them. A miss is the one
@@ -99,10 +100,10 @@ use crate::thread::{ThreadState, ThreadTransition};
 use crate::types::{DigestHasher, ModelParams, ThreadId, WriteId};
 use ppc_bits::Bv;
 use ppc_idl::Reg;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// One observable final state: the queried registers and memory
@@ -178,7 +179,8 @@ const DEFAULT_MAX_STATES: usize = ModelParams::DEFAULT_MAX_STATES;
 /// Resource limits and parallelism for one exploration.
 #[derive(Clone, Debug)]
 pub struct ExploreLimits {
-    /// Worker threads (`0` = one per available CPU, `1` = sequential).
+    /// Pool size: worker threads (`0` = one per available CPU, `1` = the
+    /// calling thread alone).
     pub threads: usize,
     /// Distinct-state budget; exceeding it sets
     /// [`ExplorationStats::truncated`].
@@ -241,7 +243,7 @@ pub fn explore(
     )
 }
 
-/// [`explore`] with an explicit state budget (single-threaded).
+/// [`explore`] with an explicit state budget, on the calling thread.
 #[must_use]
 pub fn explore_bounded(
     initial: &SystemState,
@@ -286,8 +288,9 @@ pub fn explore_limited_memoless(
     explore_with(initial, reg_obs, mem_obs, limits, SuccMemo::disengaged)
 }
 
-/// Dispatch to the sequential or the work-stealing engine, each of
-/// whose workers gets a successor memo from `memo`.
+/// Run a pool of `limits.effective_threads()` frontiers over one store
+/// (see the module docs), each with a successor memo from `memo`.
+/// Worker 0 runs on the calling thread; a pool of one spawns nothing.
 fn explore_with(
     initial: &SystemState,
     reg_obs: &[(ThreadId, Reg)],
@@ -295,11 +298,79 @@ fn explore_with(
     limits: &ExploreLimits,
     memo: fn() -> SuccMemo,
 ) -> Outcomes {
-    let threads = limits.effective_threads();
-    if threads <= 1 {
-        explore_seq(initial, reg_obs, mem_obs, limits, memo)
-    } else {
-        explore_par(initial, reg_obs, mem_obs, threads, limits, memo)
+    let workers = limits.effective_threads().max(1);
+    let store = Arc::new(StateStore::new(
+        initial.program.clone(),
+        &initial.params,
+        workers,
+    ));
+    let mut frontiers: Vec<DfsFrontier> = (0..workers)
+        .map(|_| DfsFrontier {
+            memo: memo(),
+            ..DfsFrontier::over(store.clone())
+        })
+        .collect();
+    let root = Frame::root(initial.clone());
+    // The store is empty, so the root admission cannot touch disk.
+    let admitted = store
+        .insert_visited(root.state.digest())
+        .expect("root insert into an empty store cannot touch disk");
+    debug_assert!(admitted, "the root always enters an empty frontier");
+    frontiers[0].push(root);
+
+    let pool = Pool {
+        limits,
+        workers,
+        shared: Mutex::new(Vec::new()),
+        wake: Condvar::new(),
+        idle: AtomicUsize::new(0),
+        claimed: AtomicUsize::new(0),
+        stop: AtomicBool::new(false),
+        truncated: AtomicBool::new(false),
+        store_error: Mutex::new(None),
+    };
+    let outs: Vec<(BTreeSet<FinalState>, ExplorationStats)> = std::thread::scope(|s| {
+        let pool = &pool;
+        let (first, rest) = frontiers.split_first_mut().expect("a pool has a worker");
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .map(|f| s.spawn(move || pool.work(f, reg_obs, mem_obs)))
+            .collect();
+        let mut outs = vec![pool.work(first, reg_obs, mem_obs)];
+        outs.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("exploration worker panicked")),
+        );
+        outs
+    });
+
+    let mut stats = ExplorationStats {
+        states: pool.claimed.load(Ordering::SeqCst),
+        truncated: pool.truncated.load(Ordering::SeqCst),
+        resident_peak: store.resident_peak(),
+        spilled_states: store.spilled_states(),
+        store_error: pool
+            .store_error
+            .lock()
+            .expect("store_error poisoned")
+            .take(),
+        ..ExplorationStats::default()
+    };
+    let mut finals = BTreeSet::new();
+    let mut succ_memo = SuccMemoStats::default();
+    for ((mut worker_finals, worker), frontier) in outs.into_iter().zip(&frontiers) {
+        finals.append(&mut worker_finals);
+        stats.transitions += worker.transitions;
+        stats.final_hits += worker.final_hits;
+        stats.bounded |= worker.bounded;
+        succ_memo += frontier.memo.stats();
+    }
+    Outcomes {
+        finals,
+        stats,
+        codec_memo: store.codec_memo(),
+        succ_memo,
     }
 }
 
@@ -378,9 +449,10 @@ pub(crate) struct Expansion {
 
 /// Expand one frame: either classify its state as quiescent (collecting
 /// its observable final states into `finals`) or produce its successor
-/// frames. Shared verbatim by every engine — sequential, work-stealing,
-/// spilling and distributed — so they cannot drift apart, and the one
-/// place that decides which enabled transitions fire.
+/// frames. Called only by `DfsFrontier::step`, the one body of every
+/// engine — in-process pools and distributed workers alike — so they
+/// cannot drift apart, and the one place that decides which enabled
+/// transitions fire.
 ///
 /// With [`ModelParams::reduced`] on, a state in which some non-branch
 /// instruction can `Finish` fires only the first such `Finish` in
@@ -487,9 +559,9 @@ impl std::ops::AddAssign for SuccCounts {
 
 /// What the successor memos of an exploration did, by the footprint
 /// class of the transitions they were asked for. Every fired transition
-/// is one hit or one miss. Deterministic counters for a sequential (or
-/// distributed-worker) run; summed over workers, and so dependent on
-/// work arrival, for a work-stealing run.
+/// is one hit or one miss. Deterministic counters for a pool of one (or
+/// a distributed worker); summed over workers, and so dependent on work
+/// arrival, for a larger pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SuccMemoStats {
     /// Thread transitions that read and write only their own thread.
@@ -535,8 +607,8 @@ impl SuccMemoStats {
     }
 }
 
-/// Counters of several explorations (a CLI summing its runs, or the
-/// work-stealing engine summing its workers).
+/// Counters of several explorations (a CLI summing its runs, or a pool
+/// summing its workers).
 impl std::ops::AddAssign for SuccMemoStats {
     fn add_assign(&mut self, other: SuccMemoStats) {
         self.thread_local += other.thread_local;
@@ -803,11 +875,13 @@ fn audit_hit(state: &SystemState, t: &Transition, w: u64, succ: &SystemState) {
     );
 }
 
-/// The depth-first frontier of one exploring process — what the
-/// sequential engine and each distributed worker ([`crate::distrib`])
-/// drive: the in-memory stack of unexpanded frames, the stack's disk
-/// half, and the successor memo its expansions go through, with
-/// [`DfsFrontier::step`] the one expand → admit → spill body both run.
+/// One depth-first frontier — what each worker of an in-process pool
+/// and each distributed worker ([`crate::distrib`]) drives: the
+/// in-memory stack of unexpanded frames, the shared store holding the
+/// visited set and the spilled frames, and the successor memo its
+/// expansions go through, with [`DfsFrontier::step`] the one expand →
+/// admit → spill body every engine runs. Only a `DfsFrontier` pops,
+/// unspills and spills.
 ///
 /// The visited set and spilled frames live in a [`StateStore`]: fully
 /// in memory when [`ModelParams::max_resident_states`] is `0`, spilling
@@ -817,7 +891,7 @@ fn audit_hit(state: &SystemState, t: &Transition, w: u64, succ: &SystemState) {
 /// identical to the originals — so finals and counts are byte-identical
 /// in both modes.
 pub(crate) struct DfsFrontier {
-    pub(crate) store: StateStore,
+    pub(crate) store: Arc<StateStore>,
     /// The [`expand`] memo of this frontier's one exploring thread.
     memo: SuccMemo,
     /// The transition buffer [`expand`] rebuilds for every state.
@@ -826,10 +900,20 @@ pub(crate) struct DfsFrontier {
 }
 
 impl DfsFrontier {
-    /// An empty frontier for explorations of `initial`'s program.
+    /// An empty frontier over a store of its own, for explorations of
+    /// `initial`'s program.
     pub(crate) fn new(initial: &SystemState) -> Self {
+        DfsFrontier::over(Arc::new(StateStore::new(
+            initial.program.clone(),
+            &initial.params,
+            1,
+        )))
+    }
+
+    /// An empty frontier over `store`, which other frontiers may share.
+    fn over(store: Arc<StateStore>) -> Self {
         DfsFrontier {
-            store: StateStore::new(initial.program.clone(), &initial.params, 1),
+            store,
             memo: SuccMemo::new(),
             scratch: Vec::new(),
             stack: Vec::new(),
@@ -840,7 +924,7 @@ impl DfsFrontier {
     /// `stats` and its final states to `finals`; each successor is shown
     /// to `route` first, and one that `route` calls local is admitted
     /// ([`StateStore::insert_visited`]) and pushed; then the excess spills.
-    /// The sequential engine's `route` calls every successor local, a
+    /// A pool worker's `route` calls every successor local, a
     /// distributed worker's routes those another shard owns. The budget,
     /// deadline and messaging around a step are the caller's.
     pub(crate) fn step(
@@ -881,25 +965,37 @@ impl DfsFrontier {
     /// dry, reload the newest spilled segment first (sequential batched
     /// readback). `Ok(None)` means nothing is left anywhere.
     pub(crate) fn pop(&mut self) -> Result<Option<Frame>, StoreError> {
-        if self.stack.is_empty() {
-            let Some(segment) = self.store.unspill()? else {
-                return Ok(None);
-            };
-            self.store.note_enqueued(segment.len());
-            self.stack.extend(segment);
+        if self.stack.is_empty() && !self.unspill()? {
+            return Ok(None);
         }
+        Ok(self.pop_resident())
+    }
+
+    /// Take the newest frame of the in-memory stack.
+    fn pop_resident(&mut self) -> Option<Frame> {
         let frame = self.stack.pop();
         if frame.is_some() {
             self.store.note_dequeued(1);
         }
-        Ok(frame)
+        frame
     }
 
-    /// Over the resident budget: spill the oldest frames (the stack
-    /// bottom, the ones depth-first search would touch last anyway)
-    /// down to half the budget, so spills are batched rather than
-    /// per-push.
-    pub(crate) fn spill_excess(&mut self) -> Result<(), StoreError> {
+    /// Reload the store's newest spilled segment onto the stack;
+    /// `Ok(false)` when nothing is spilled.
+    fn unspill(&mut self) -> Result<bool, StoreError> {
+        let Some(segment) = self.store.unspill()? else {
+            return Ok(false);
+        };
+        self.store.note_enqueued(segment.len());
+        self.stack.extend(segment);
+        Ok(true)
+    }
+
+    /// Over this frontier's resident budget: spill the oldest frames
+    /// (the stack bottom, the ones depth-first search would touch last
+    /// anyway) down to half the budget, so spills are batched rather
+    /// than per-push.
+    fn spill_excess(&mut self) -> Result<(), StoreError> {
         let budget = self.store.budget();
         if budget != 0 && self.stack.len() > budget {
             let excess = self.stack.len() - budget / 2;
@@ -926,184 +1022,160 @@ impl DfsFrontier {
     }
 }
 
-/// The sequential depth-first engine: [`DfsFrontier`] driven to
-/// exhaustion (or a limit) by one thread.
-fn explore_seq(
-    initial: &SystemState,
-    reg_obs: &[(ThreadId, Reg)],
-    mem_obs: &[(u64, usize)],
-    limits: &ExploreLimits,
-    memo: fn() -> SuccMemo,
-) -> Outcomes {
-    let mut frontier = DfsFrontier {
-        memo: memo(),
-        ..DfsFrontier::new(initial)
-    };
-    let mut stats = ExplorationStats::default();
-    let mut finals = BTreeSet::new();
-    let root = Frame::root(initial.clone());
-    // The store is empty: the root admission touches only the hot set,
-    // so no I/O can fail here.
-    let admitted = frontier
-        .store
-        .insert_visited(root.state.digest())
-        .expect("root insert into an empty store cannot touch disk");
-    debug_assert!(admitted, "the root always enters an empty frontier");
-    frontier.push(root);
-
-    let mut search = || -> Result<(), StoreError> {
-        while let Some(frame) = frontier.pop()? {
-            stats.states += 1;
-            if stats.states > limits.max_states {
-                stats.truncated = true;
-                break;
-            }
-            if stats.states % 4096 == 0 {
-                if let Some(d) = limits.deadline {
-                    if Instant::now() >= d {
-                        stats.truncated = true;
-                        break;
-                    }
-                }
-            }
-            frontier.step(&frame, reg_obs, mem_obs, &mut finals, &mut stats, |_, _| {
-                true
-            })?;
-        }
-        Ok(())
-    };
-    // A store failure (disk full, short read, corrupt segment) ends the
-    // search as *truncated* — inconclusive, never a silent partial pass
-    // and never a process abort.
-    if let Err(e) = search() {
-        stats.truncated = true;
-        stats.store_error = Some(e.to_string());
-    }
-    stats.resident_peak = frontier.store.resident_peak();
-    stats.spilled_states = frontier.store.spilled_states();
-    Outcomes {
-        finals,
-        stats,
-        codec_memo: frontier.store.codec_memo(),
-        succ_memo: frontier.memo.stats(),
-    }
-}
-
-/// Per-worker private accumulator of a work-stealing exploration.
-struct WorkerOut {
-    finals: BTreeSet<FinalState>,
-    transitions: usize,
-    final_hits: usize,
-    succ_memo: SuccMemoStats,
-}
-
-/// How often (in expanded states, per worker) the wall-clock deadline is
-/// polled. Expansions are short, so this keeps the deadline soft but
-/// tight without an `Instant::now()` syscall per state.
+/// How often (in claimed states, over the whole pool) the wall-clock
+/// deadline is polled. Expansions are short, so this keeps the deadline
+/// soft but tight without an `Instant::now()` call per state.
 const DEADLINE_POLL_PERIOD: usize = 256;
 
-/// The shared control block of one work-stealing exploration.
-struct StealPool<'a> {
-    /// One deque of unexpanded frames per worker. Owners push/pop at the
-    /// back (depth-first locality, keeps deques shallow); thieves drain
-    /// batches from the front (the oldest states, which in this search
-    /// tend to root the largest unexplored subtrees).
-    deques: Vec<Mutex<VecDeque<Frame>>>,
-    /// Termination detector: states enqueued in any deque *plus* states
-    /// currently being expanded. A worker increments it for each fresh
-    /// successor *before* decrementing it for the parent it just
-    /// expanded, so `pending` can only reach zero once no undiscovered
-    /// work can exist anywhere — at which point every worker retires.
-    pending: AtomicUsize,
-    /// States claimed against `limits.max_states`. Claims are made
-    /// cooperatively by workers, one state at a time, immediately before
-    /// expansion — there are no level boundaries to batch the check at —
-    /// and a failed claim is rolled back, so at rest this equals the
-    /// number of states actually expanded ([`ExplorationStats::states`]).
-    claimed: AtomicUsize,
-    /// Set when the budget or deadline trips; all workers quit promptly,
-    /// abandoning whatever is left in the deques.
-    stop: AtomicBool,
-    /// Whether the stop was a truncation (budget/deadline), as opposed to
-    /// natural exhaustion of the state space.
-    truncated: AtomicBool,
-    /// The two-tier store: the digest-sharded visited set (exactly one
-    /// worker wins the insertion race for each new state, so each
-    /// reachable state is expanded exactly once) plus the frontier's
-    /// disk half. When the resident budget is crossed, freshly published
-    /// successors are serialised to segment files instead of entering a
-    /// deque; dry workers read segments back in batches. Spilled states
-    /// were counted in `pending` at publication, so the termination
-    /// protocol is unchanged.
-    store: &'a StateStore,
+/// The shared control block of one in-process exploration: what the
+/// `workers` frontiers over one store share besides the store.
+struct Pool<'a> {
     limits: &'a ExploreLimits,
-    /// States a thief moves per steal ([`ModelParams::steal_batch`]).
-    steal_batch: usize,
-    /// Whether any worker's expansion hit the context-switch bound.
-    bounded: AtomicBool,
-    /// First spill-store failure observed by any worker (the stop it
-    /// caused is recorded via [`StealPool::trip`], so the run surfaces
-    /// as truncated + this message, never as a panic or a silent pass).
+    workers: usize,
+    /// Frames a busy worker donated (the bottom half of its stack) for
+    /// an idle one to take. Every change of `idle` and every unspill by
+    /// a dry worker happens under this lock, which is what makes
+    /// `idle == workers` mean that nothing is left anywhere. Donated
+    /// frames stay counted as resident in the store.
+    shared: Mutex<Vec<Frame>>,
+    /// Wakes idle workers: a donation, the end of the search or a stop.
+    wake: Condvar,
+    /// Workers waiting for work. Changed only under the `shared` lock,
+    /// which orders every access that decides anything; the lock-free
+    /// read after every step is only the hint to try donating, so it
+    /// publishes nothing and `Relaxed` suffices.
+    idle: AtomicUsize,
+    /// States claimed against `limits.max_states`, one at a time
+    /// immediately before expansion. A failed claim is rolled back, so
+    /// at rest this equals the number of states expanded
+    /// ([`ExplorationStats::states`]).
+    claimed: AtomicUsize,
+    /// Set when the budget or deadline trips, a store fails or a worker
+    /// panics; every worker quits promptly, abandoning what is left.
+    stop: AtomicBool,
+    /// Whether the stop was a truncation (budget, deadline or store
+    /// failure), as opposed to the search running dry.
+    truncated: AtomicBool,
+    /// The first spill-store failure any worker hit (the stop it caused
+    /// is recorded via [`Pool::trip`], so the run surfaces as truncated
+    /// + this message, never as a panic or a silent pass).
     store_error: Mutex<Option<String>>,
 }
 
-impl StealPool<'_> {
-    /// Pop from the worker's own deque (back = most recently discovered).
-    fn pop_local(&self, me: usize) -> Option<Frame> {
-        self.deques[me].lock().expect("deque poisoned").pop_back()
-    }
-
-    /// Steal from the first non-empty victim, scanning round-robin from
-    /// the worker's right-hand neighbour. Takes up to `steal_batch`
-    /// states from the *front* of the victim's deque: one is returned
-    /// for immediate expansion, the rest move to the thief's own deque
-    /// (amortising the victim-lock handshake across the batch).
-    fn steal(&self, me: usize) -> Option<Frame> {
-        let n = self.deques.len();
-        for k in 1..n {
-            let v = (me + k) % n;
-            let mut batch: Vec<Frame> = {
-                let mut victim = self.deques[v].lock().expect("deque poisoned");
-                if victim.is_empty() {
-                    continue;
+impl Pool<'_> {
+    /// One worker's loop over its frontier: pop, claim, step, and donate
+    /// while another worker is idle; refill when the stack runs dry.
+    /// Returns the worker's final states and counts.
+    fn work(
+        &self,
+        frontier: &mut DfsFrontier,
+        reg_obs: &[(ThreadId, Reg)],
+        mem_obs: &[(u64, usize)],
+    ) -> (BTreeSet<FinalState>, ExplorationStats) {
+        let _guard = StopOnPanic(self);
+        let mut finals = BTreeSet::new();
+        let mut stats = ExplorationStats::default();
+        while !self.stop.load(Ordering::SeqCst) {
+            let Some(frame) = frontier.pop_resident() else {
+                match self.refill(frontier) {
+                    Ok(true) => continue,
+                    Ok(false) => break,
+                    Err(e) => {
+                        self.fail_store(&e);
+                        break;
+                    }
                 }
-                let take = self.steal_batch.min(victim.len());
-                victim.drain(..take).collect()
             };
-            let first = batch.pop().expect("stolen batch is non-empty");
-            if !batch.is_empty() {
-                self.deques[me]
-                    .lock()
-                    .expect("deque poisoned")
-                    .extend(batch);
+            if !self.claim() {
+                break;
             }
-            return Some(first);
+            let stepped =
+                frontier.step(&frame, reg_obs, mem_obs, &mut finals, &mut stats, |_, _| {
+                    true
+                });
+            if let Err(e) = stepped {
+                self.fail_store(&e);
+                break;
+            }
+            if self.idle.load(Ordering::Relaxed) > 0 && frontier.stack.len() >= 2 {
+                self.donate(frontier);
+            }
         }
-        None
+        (finals, stats)
     }
 
-    /// Reload one spilled frontier segment into the worker's own deque
-    /// and pop a state from it. Returns `Ok(None)` when nothing is
-    /// spilled (or when a neighbour stole the whole reloaded batch first
-    /// — the states are still in deques and `pending` still counts
-    /// them, so the caller just retries).
-    fn unspill(&self, me: usize) -> Result<Option<Frame>, StoreError> {
-        let Some(states) = self.store.unspill()? else {
-            return Ok(None);
+    /// Claim one state against the budget, polling the deadline every
+    /// [`DEADLINE_POLL_PERIOD`] claims; on failure roll the claim back
+    /// and stop the pool as truncated.
+    fn claim(&self) -> bool {
+        let n = self.claimed.fetch_add(1, Ordering::SeqCst);
+        let expired = n.is_multiple_of(DEADLINE_POLL_PERIOD)
+            && self.limits.deadline.is_some_and(|d| Instant::now() >= d);
+        if n >= self.limits.max_states || expired {
+            self.claimed.fetch_sub(1, Ordering::SeqCst);
+            self.truncated.store(true, Ordering::SeqCst);
+            self.trip();
+            return false;
+        }
+        true
+    }
+
+    /// Refill a dry worker's stack, under the pool lock: the donated
+    /// frames, else one spilled segment, else wait idle for a donation.
+    /// `Ok(false)`: the search is over — every worker is idle, or the
+    /// pool stopped.
+    fn refill(&self, frontier: &mut DfsFrontier) -> Result<bool, StoreError> {
+        let mut shared = self.shared.lock().expect("pool lock poisoned");
+        let mut idle = false;
+        let refilled = loop {
+            if self.stop.load(Ordering::SeqCst) {
+                break false;
+            }
+            if !shared.is_empty() {
+                frontier.stack.append(&mut shared);
+                break true;
+            }
+            if frontier.unspill()? {
+                break true;
+            }
+            if !idle {
+                idle = true;
+                self.idle.fetch_add(1, Ordering::Relaxed);
+            }
+            if self.idle.load(Ordering::Relaxed) == self.workers {
+                self.wake.notify_all();
+                break false;
+            }
+            shared = self.wake.wait(shared).expect("pool lock poisoned");
         };
-        self.store.note_enqueued(states.len());
-        self.deques[me]
-            .lock()
-            .expect("deque poisoned")
-            .extend(states);
-        Ok(self.pop_local(me))
+        if idle && refilled {
+            self.idle.fetch_sub(1, Ordering::Relaxed);
+        }
+        Ok(refilled)
     }
 
-    /// Record a truncation (budget or deadline) and tell every worker to
-    /// stop.
+    /// Move the bottom (oldest) half of `frontier`'s stack into the
+    /// shared slot for an idle worker, unless the slot is still full or
+    /// no worker is idle any more.
+    fn donate(&self, frontier: &mut DfsFrontier) {
+        let mut shared = self.shared.lock().expect("pool lock poisoned");
+        if shared.is_empty() && self.idle.load(Ordering::Relaxed) > 0 {
+            let half = frontier.stack.len() / 2;
+            shared.extend(frontier.stack.drain(..half));
+            self.wake.notify_one();
+        }
+    }
+
+    /// Tell every worker to stop, waking the idle ones.
     fn trip(&self) {
-        self.truncated.store(true, Ordering::SeqCst);
         self.stop.store(true, Ordering::SeqCst);
+        // Taking the lock orders the store before any idle worker's
+        // next check, so none can miss the wake-up.
+        let _shared = self
+            .shared
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.wake.notify_all();
     }
 
     /// Record a spill-store failure and stop the exploration (truncated,
@@ -1114,254 +1186,21 @@ impl StealPool<'_> {
             *slot = Some(e.to_string());
         }
         drop(slot);
+        self.truncated.store(true, Ordering::SeqCst);
         self.trip();
     }
 }
 
-/// Trips the pool's stop flag if the worker unwinds, so a panic inside
-/// one expansion cannot leave the other workers spinning forever on a
-/// `pending` count that will never drain — they exit, the scope joins,
-/// and the panic propagates.
-struct StopOnPanic<'a>(&'a StealPool<'a>);
+/// Stops the pool if its worker unwinds, so a panic inside one
+/// expansion cannot leave the other workers waiting forever for a
+/// donation — they exit, the scope joins, and the panic propagates.
+struct StopOnPanic<'a>(&'a Pool<'a>);
 
 impl Drop for StopOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.stop.store(true, Ordering::SeqCst);
+            self.0.trip();
         }
-    }
-}
-
-/// The body of one work-stealing worker: claim states against the budget,
-/// expand them, dedup successors through the shared visited set, and
-/// feed fresh ones back into the local deque for neighbours to steal.
-///
-/// All counter traffic uses `SeqCst`: one atomic RMW per expanded state
-/// is noise next to the `SystemState` clones expansion performs, and it
-/// keeps the termination argument (see [`StealPool::pending`]) free of
-/// ordering subtleties.
-fn steal_worker(
-    pool: &StealPool<'_>,
-    me: usize,
-    reg_obs: &[(ThreadId, Reg)],
-    mem_obs: &[(u64, usize)],
-    mut memo: SuccMemo,
-) -> WorkerOut {
-    let _guard = StopOnPanic(pool);
-    let mut out = WorkerOut {
-        finals: BTreeSet::new(),
-        transitions: 0,
-        final_hits: 0,
-        succ_memo: SuccMemoStats::default(),
-    };
-    let mut scratch = Vec::new();
-    let mut idle_spins: u32 = 0;
-    loop {
-        if pool.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let popped = match pool.pop_local(me).or_else(|| pool.steal(me)) {
-            Some(f) => Some(f),
-            None => match pool.unspill(me) {
-                Ok(f) => f,
-                Err(e) => {
-                    pool.fail_store(&e);
-                    break;
-                }
-            },
-        };
-        let Some(frame) = popped else {
-            // No work anywhere we looked (deques or disk). Retire only
-            // once no expansion is in flight either — an in-flight
-            // expansion may yet publish new work to steal or spill.
-            if pool.pending.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            idle_spins += 1;
-            if idle_spins < 64 {
-                std::hint::spin_loop();
-            } else if idle_spins < 1024 {
-                std::thread::yield_now();
-            } else {
-                // Long starvation (one worker stuck on a deep chain):
-                // keep the deadline honest while parked.
-                if let Some(d) = pool.limits.deadline {
-                    if Instant::now() >= d {
-                        pool.trip();
-                        break;
-                    }
-                }
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-            continue;
-        };
-        pool.store.note_dequeued(1);
-        idle_spins = 0;
-
-        // Cooperative budget claim, one state at a time. A failed claim
-        // is rolled back so `claimed` settles at the expanded count.
-        let n = pool.claimed.fetch_add(1, Ordering::SeqCst);
-        if n >= pool.limits.max_states {
-            pool.claimed.fetch_sub(1, Ordering::SeqCst);
-            pool.pending.fetch_sub(1, Ordering::SeqCst);
-            pool.trip();
-            break;
-        }
-        if n.is_multiple_of(DEADLINE_POLL_PERIOD) {
-            if let Some(d) = pool.limits.deadline {
-                if Instant::now() >= d {
-                    pool.claimed.fetch_sub(1, Ordering::SeqCst);
-                    pool.pending.fetch_sub(1, Ordering::SeqCst);
-                    pool.trip();
-                    break;
-                }
-            }
-        }
-
-        let exp = expand(
-            &frame,
-            reg_obs,
-            mem_obs,
-            &mut out.finals,
-            &mut scratch,
-            &mut memo,
-        );
-        if exp.bounded_hit {
-            pool.bounded.store(true, Ordering::SeqCst);
-        }
-        if exp.is_final {
-            out.final_hits += 1;
-            pool.pending.fetch_sub(1, Ordering::SeqCst);
-            continue;
-        }
-        out.transitions += exp.transitions;
-        let mut fresh: Vec<Frame> = Vec::with_capacity(exp.succs.len());
-        let mut failed = false;
-        for next in exp.succs {
-            match pool.store.insert_visited(next.state.digest()) {
-                Ok(true) => fresh.push(next),
-                Ok(false) => {}
-                Err(e) => {
-                    pool.fail_store(&e);
-                    failed = true;
-                    break;
-                }
-            }
-        }
-        if failed {
-            // The stop flag is set; abandoning `pending` bookkeeping is
-            // fine — every worker exits on the flag, not the count.
-            break;
-        }
-        if !fresh.is_empty() {
-            // Publish successors (and bump `pending`) before retiring the
-            // parent, so `pending` cannot dip to zero while work remains.
-            // Over the resident budget, the batch goes to a segment file
-            // instead of a deque; it stays pending either way.
-            pool.pending.fetch_add(fresh.len(), Ordering::SeqCst);
-            if pool.store.should_spill(fresh.len()) {
-                if let Err(e) = pool.store.spill_batch(&fresh) {
-                    pool.fail_store(&e);
-                    break;
-                }
-            } else {
-                pool.store.note_enqueued(fresh.len());
-                pool.deques[me]
-                    .lock()
-                    .expect("deque poisoned")
-                    .extend(fresh);
-            }
-        }
-        pool.pending.fetch_sub(1, Ordering::SeqCst);
-    }
-    out.succ_memo = memo.stats();
-    out
-}
-
-/// The parallel work-stealing engine.
-///
-/// Workers are spawned once per exploration (worker 0 runs on the
-/// calling thread) and run until the shared pending-count hits zero or a
-/// limit trips — there are no per-level barriers, so a lone deep branch
-/// keeps only one worker busy instead of stalling all of them, and no
-/// per-round spawn overhead. Because the visited set is keyed by the
-/// same digests the sequential engine uses, both engines expand exactly
-/// the same state set, and merging the per-worker `BTreeSet`s of final
-/// states is order-insensitive — results are deterministic and identical
-/// to the sequential engine's whenever the budget is not exhausted.
-fn explore_par(
-    initial: &SystemState,
-    reg_obs: &[(ThreadId, Reg)],
-    mem_obs: &[(u64, usize)],
-    threads: usize,
-    limits: &ExploreLimits,
-    memo: fn() -> SuccMemo,
-) -> Outcomes {
-    let store = StateStore::new(initial.program.clone(), &initial.params, threads);
-    let pool = StealPool {
-        deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        pending: AtomicUsize::new(1),
-        claimed: AtomicUsize::new(0),
-        stop: AtomicBool::new(false),
-        truncated: AtomicBool::new(false),
-        store: &store,
-        limits,
-        steal_batch: initial.params.effective_steal_batch(),
-        bounded: AtomicBool::new(false),
-        store_error: Mutex::new(None),
-    };
-    let root = Frame::root(initial.clone());
-    // The store is empty, so the root admission cannot touch disk.
-    let admitted = store
-        .insert_visited(root.state.digest())
-        .expect("root insert into an empty store cannot touch disk");
-    debug_assert!(admitted, "the root always enters an empty frontier");
-    pool.store.note_enqueued(1);
-    pool.deques[0]
-        .lock()
-        .expect("deque poisoned")
-        .push_back(root);
-
-    let outs: Vec<WorkerOut> = std::thread::scope(|s| {
-        let pool = &pool;
-        let handles: Vec<_> = (1..threads)
-            .map(|me| s.spawn(move || steal_worker(pool, me, reg_obs, mem_obs, memo())))
-            .collect();
-        let mut outs = vec![steal_worker(pool, 0, reg_obs, mem_obs, memo())];
-        outs.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("exploration worker panicked")),
-        );
-        outs
-    });
-
-    let mut stats = ExplorationStats {
-        states: pool.claimed.load(Ordering::SeqCst),
-        truncated: pool.truncated.load(Ordering::SeqCst),
-        resident_peak: store.resident_peak(),
-        spilled_states: store.spilled_states(),
-        bounded: pool.bounded.load(Ordering::SeqCst),
-        store_error: pool
-            .store_error
-            .lock()
-            .expect("store_error poisoned")
-            .take(),
-        ..ExplorationStats::default()
-    };
-    let mut finals = BTreeSet::new();
-    let mut succ_memo = SuccMemoStats::default();
-    for out in outs {
-        stats.transitions += out.transitions;
-        stats.final_hits += out.final_hits;
-        finals.extend(out.finals);
-        succ_memo += out.succ_memo;
-    }
-    Outcomes {
-        finals,
-        stats,
-        codec_memo: store.codec_memo(),
-        succ_memo,
     }
 }
 

@@ -8,8 +8,8 @@
 //! spill-to-disk for >10^7-state tests"). The store keeps both exact
 //! while bounding resident memory:
 //!
-//! - **Visited set**: one mutexed shard per low-digest-bits bucket, as
-//!   the work-stealing engine always had. Each shard holds a *hot*
+//! - **Visited set**: one mutexed shard per low-digest-bits bucket, so
+//!   the workers of a pool rarely meet on a lock. Each shard holds a *hot*
 //!   `HashSet` plus at most one *cold run* — a [`SortedRun`] of 8-byte
 //!   digests, so a cold membership probe costs one 4 KiB positioned read.
 //!   When the hot set outgrows its budget the shard streams hot ∪ cold
@@ -33,11 +33,6 @@
 //! *truncated* (inconclusive) exploration result, never abort the
 //! process or poison a worker pool. The engines treat any store error
 //! as a budget trip.
-//!
-//! The work-stealing engine's pending-count termination protocol is
-//! unchanged: spilled states are still *pending* (they were counted when
-//! published and are only retired after expansion), so `pending == 0`
-//! still means "nothing left anywhere, including on disk".
 //!
 //! Temp files live in a per-exploration directory under the system temp
 //! dir, created lazily on first spill and removed when the store drops;
@@ -65,11 +60,14 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// visited set deserves a proportionally larger resident allowance).
 const MIN_HOT: usize = 64;
 
-/// Target states per frontier segment file under a budget `b`
-/// (`max(b/2, 16)`): half a budget's worth, so a readback refills the
-/// frontier without immediately re-crossing the threshold.
+/// The fewest states a frontier segment file targets.
+const MIN_SEGMENT: usize = 16;
+
+/// Target states per frontier segment file under a per-frontier budget
+/// `b` (`max(b/2, 16)`): half a budget's worth, so a readback refills
+/// the frontier without immediately re-crossing the threshold.
 fn segment_target(budget: usize) -> usize {
-    (budget / 2).max(16)
+    (budget / 2).max(MIN_SEGMENT)
 }
 
 /// Process-unique suffix for spill directories.
@@ -188,15 +186,17 @@ pub struct StateStore {
     ctx: std::sync::OnceLock<CodecCtx>,
     program: Arc<Program>,
     params: ModelParams,
-    /// Resident-state budget (`0` = unlimited, never spill).
+    /// Resident-state budget of each frontier over this store: the
+    /// exploration's budget split evenly between its `threads` frontiers
+    /// (`0` = unlimited, never spill).
     budget: usize,
     /// Hot-digest budget per visited shard before a flush is considered.
     hot_budget: usize,
     shards: Vec<Mutex<VisitedShard>>,
     mask: u64,
     frontier: Mutex<FrontierSpill>,
-    /// Decoded frontier states currently resident in memory (all deques
-    /// or stacks), maintained by the engines via
+    /// Decoded frontier states currently resident in memory (every
+    /// stack, and frames donated between them), maintained via
     /// [`StateStore::note_enqueued`] / [`StateStore::note_dequeued`].
     resident: AtomicUsize,
     resident_peak: AtomicUsize,
@@ -208,9 +208,9 @@ pub struct StateStore {
 }
 
 impl StateStore {
-    /// A store for one exploration: `threads` sizes the visited-set
-    /// sharding (as the work-stealing engine always did), and the
-    /// resident budget comes from `params.max_resident_states`.
+    /// A store for one exploration: `threads` (the pool size) sizes the
+    /// visited-set sharding, and the resident budget comes from
+    /// `params.max_resident_states`.
     #[must_use]
     pub fn new(program: Arc<Program>, params: &ModelParams, threads: usize) -> Self {
         let n = (threads.max(1) * 16).next_power_of_two();
@@ -227,7 +227,10 @@ impl StateStore {
             ctx: std::sync::OnceLock::new(),
             program,
             params: params.clone(),
-            budget,
+            // Each frontier's share, but never less than one segment (or
+            // the whole budget, if smaller): a share smaller than what
+            // one readback brings in would spill that readback again.
+            budget: (budget / threads.max(1)).max(budget.min(MIN_SEGMENT)),
             hot_budget,
             shards: (0..n)
                 .map(|_| {
@@ -247,7 +250,7 @@ impl StateStore {
         }
     }
 
-    /// The resident-state budget (`0` = unlimited).
+    /// The resident-state budget of each frontier (`0` = unlimited).
     #[must_use]
     pub fn budget(&self) -> usize {
         self.budget
@@ -259,13 +262,6 @@ impl StateStore {
     pub(crate) fn ctx(&self) -> &CodecCtx {
         self.ctx
             .get_or_init(|| CodecCtx::new(self.program.clone(), self.params.clone()))
-    }
-
-    /// Whether publishing `incoming` more resident states would cross
-    /// the budget (always `false` when unlimited).
-    #[must_use]
-    pub fn should_spill(&self, incoming: usize) -> bool {
-        self.budget != 0 && self.resident.load(Ordering::Relaxed) + incoming > self.budget
     }
 
     /// Record `n` states entering in-memory frontiers.

@@ -5,7 +5,7 @@
 //! produces (or forbids) it, mirroring the paper's §7 concurrent
 //! validation.
 
-use crate::oracle::{explore, run_sequential};
+use crate::oracle::{explore, explore_limited, run_sequential, ExploreLimits};
 use crate::system::{Program, SystemState};
 use crate::types::ModelParams;
 use ppc_bits::Bv;
@@ -1056,4 +1056,25 @@ fn run_sequential_mp_pinned_interleaving() {
         (Some(1), Some(1)),
         "sequential MP must observe both of P0's writes"
     );
+}
+
+/// A pool larger than the state space: a thread with no code leaves the
+/// root state final, so worker 0 expands the only state while the other
+/// seven go idle at once. The idle count must still reach the pool size
+/// and end the search; a wrong termination rule hangs here.
+#[test]
+fn pool_of_eight_over_a_final_root() {
+    let s = sys(&[(&[], &[])], &[], ModelParams::default());
+    let limits = ExploreLimits {
+        threads: 8,
+        ..ExploreLimits::default()
+    };
+    let out = explore_limited(&s, &[], &[(X, 4)], &limits);
+    let stats = &out.stats;
+    assert_eq!(
+        (stats.states, stats.transitions, stats.final_hits),
+        (1, 0, 1)
+    );
+    assert!(!stats.truncated);
+    assert_eq!(out.finals.len(), 1);
 }

@@ -90,29 +90,25 @@ pub struct ModelParams {
     /// permits it; turning it off prunes the failure branch when a valid
     /// reservation is held, useful to keep lock-based tests small).
     pub allow_spurious_stcx_failure: bool,
-    /// Worker threads used by exhaustive exploration. `1` runs the
-    /// sequential depth-first search; `>= 2` runs the sharded-frontier
-    /// parallel search, which visits exactly the same state set (and so
-    /// produces identical `Outcomes::finals`) whenever the state budget
-    /// is not exhausted. `0` means "one worker per available CPU".
+    /// Worker threads used by in-process exhaustive exploration: the size
+    /// of the pool of depth-first frontiers over one shared store. `1`
+    /// explores on the calling thread alone. Every size visits exactly
+    /// the same state set (and so produces identical `Outcomes::finals`)
+    /// whenever the state budget is not exhausted. `0` means "one worker
+    /// per available CPU".
     pub threads: usize,
     /// State budget for exhaustive exploration; beyond it the search
     /// stops and `ExplorationStats::truncated` is set.
     pub max_states: usize,
-    /// Work-stealing granularity for the parallel engine: how many
-    /// unexpanded states a thief moves from a victim's deque per steal.
-    /// Larger batches amortise the lock handshake, smaller batches
-    /// spread sparse work faster. `0` means
-    /// [`ModelParams::DEFAULT_STEAL_BATCH`]. Purely a performance knob:
-    /// it cannot change which states are visited, only who expands them.
-    pub steal_batch: usize,
     /// Resident-state budget for exhaustive exploration: the maximum
     /// number of *decoded* frontier states held in memory at once. When
     /// the frontier crosses it, overflow states are spilled to temp
     /// files through the canonical state codec (and visited-set shards
     /// flush digests to sorted on-disk runs), so explorations far larger
-    /// than RAM stay exact. `0` means unlimited (everything stays in
-    /// memory, as before). Purely a memory/perf knob: spilling cannot
+    /// than RAM stay exact. A pool of `threads` frontiers splits the
+    /// budget evenly, each keeping at least one 16-state spill segment's
+    /// worth. `0` means unlimited (everything stays in memory, as
+    /// before). Purely a memory/perf knob: spilling cannot
     /// change which states are visited, the counts, or the finals.
     pub max_resident_states: usize,
     /// Enable the eager-`Finish` reduction: in a state where some
@@ -151,28 +147,11 @@ impl ModelParams {
     /// Default state budget for exhaustive exploration.
     pub const DEFAULT_MAX_STATES: usize = 5_000_000;
 
-    /// Default steal-batch size for the work-stealing parallel engine.
-    /// Litmus-scale expansions are cheap (a state clone plus a handful of
-    /// transition applications), so a moderate batch keeps thieves off
-    /// the victims' locks without hoarding work.
-    pub const DEFAULT_STEAL_BATCH: usize = 32;
-
     /// The effective worker-thread count (resolves `threads == 0` to the
     /// available parallelism).
     #[must_use]
     pub fn effective_threads(&self) -> usize {
         resolve_threads(self.threads)
-    }
-
-    /// The effective steal-batch size (resolves `steal_batch == 0` to
-    /// [`Self::DEFAULT_STEAL_BATCH`]).
-    #[must_use]
-    pub fn effective_steal_batch(&self) -> usize {
-        if self.steal_batch == 0 {
-            Self::DEFAULT_STEAL_BATCH
-        } else {
-            self.steal_batch
-        }
     }
 }
 
@@ -184,7 +163,6 @@ impl Default for ModelParams {
             allow_spurious_stcx_failure: false,
             threads: 1,
             max_states: Self::DEFAULT_MAX_STATES,
-            steal_batch: Self::DEFAULT_STEAL_BATCH,
             max_resident_states: 0,
             reduced: false,
             max_context_switches: 0,

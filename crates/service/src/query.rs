@@ -18,9 +18,9 @@
 //!   without deciding its key status fails to compile, which is the
 //!   loud failure the cache needs (a silently unkeyed param would
 //!   serve stale envelopes).
-//! - `threads` and `steal_batch` are **excluded**: pure scheduling
-//!   knobs, documented (and differential-tested) to not change which
-//!   states are visited or any verdict.
+//! - `threads` is **excluded**: a pure scheduling knob, documented (and
+//!   differential-tested) to not change which states are visited or any
+//!   verdict.
 //! - The codec/schema/model versions ([`crate::CANON_VERSION`],
 //!   [`crate::REPORT_VERSION`], [`crate::MODEL_VERSION`]) lead the
 //!   encoding, so bumping any of them invalidates the whole cache.
@@ -144,7 +144,6 @@ fn encode_params(w: &mut Writer, params: &ModelParams) {
         allow_spurious_stcx_failure,
         threads: _, // scheduling only: cannot change any verdict or count
         max_states,
-        steal_batch: _, // scheduling only: cannot change which states are visited
         max_resident_states,
         reduced,
         max_context_switches,
@@ -303,29 +302,15 @@ mod tests {
             );
         }
 
-        let insensitive: Vec<(&str, ModelParams)> = vec![
-            (
-                "threads",
-                ModelParams {
-                    threads: base.threads + 7,
-                    ..base.clone()
-                },
-            ),
-            (
-                "steal_batch",
-                ModelParams {
-                    steal_batch: base.steal_batch + 7,
-                    ..base.clone()
-                },
-            ),
-        ];
-        for (field, params) in insensitive {
-            assert_eq!(
-                key_of(&job, &params, 0, 0),
-                base_key,
-                "`{field}` is a scheduling knob and must not change the cache key"
-            );
-        }
+        let threads = ModelParams {
+            threads: base.threads + 7,
+            ..base.clone()
+        };
+        assert_eq!(
+            key_of(&job, &threads, 0, 0),
+            base_key,
+            "`threads` is a scheduling knob and must not change the cache key"
+        );
     }
 
     /// Budgets outside `ModelParams` (wall-clock timeout, distributed

@@ -1,14 +1,13 @@
-//! Randomized differential fuzzing of the work-stealing parallel oracle.
+//! Randomized differential fuzzing of the multi-worker exploration pool.
 //!
 //! A seeded [`Prng`] generates small random litmus programs (shared
 //! generator in `tests/common`) — 2–4 hardware threads of loads, stores,
 //! barriers, address/data/control dependencies, and `lwarx`/`stwcx.`
 //! read-modify-write pairs over 2–3 shared word locations — and every
-//! program is explored exhaustively by both engines: the sequential
-//! depth-first reference and the work-stealing parallel engine (with
-//! randomized worker counts, steal-batch sizes, and — for programs with
-//! reservation pairs — randomized spurious-stcx-failure permission).
-//! The engines must agree *byte for byte* on `Outcomes::finals`, and on
+//! program is explored exhaustively by a one-worker pool (the reference)
+//! and a multi-worker pool (with randomized worker counts and — for
+//! programs with reservation pairs — randomized spurious-stcx-failure
+//! permission). The two must agree *byte for byte* on `Outcomes::finals`, and on
 //! the visited-state and transition counts. Any mismatch prints the
 //! offending seed and the generated program so the failure replays
 //! deterministically.
@@ -106,9 +105,8 @@ fn advance_trace_differential(initial: &SystemState, seed: u64, steps: usize) {
     }
 }
 
-/// Explore one generated program with the sequential engine and the
-/// work-stealing engine (randomized thread count and steal batch) and
-/// require byte-identical outcomes.
+/// Explore one generated program with one worker and with a pool of a
+/// randomized size, and require byte-identical outcomes.
 fn differential_check(seed: u64, budget: usize) -> FuzzOutcome {
     let prog = gen_program(seed);
     let test = parse(&prog.source).unwrap_or_else(|e| {
@@ -121,7 +119,6 @@ fn differential_check(seed: u64, budget: usize) -> FuzzOutcome {
     // shapes stay stable if the configuration menu changes.
     let mut cfg_rng = Prng::seed_from_u64(seed ^ 0x0057_EA1B_A7C4_FFFF);
     let threads: usize = [2, 3, 4][cfg_rng.gen_range(0..3usize)];
-    let steal_batch: usize = [1, 2, 7, 64][cfg_rng.gen_range(0..4usize)];
     // For programs with a reservation pair, sometimes also allow
     // spurious store-conditional failures — the extra failure branch is
     // part of the architectural envelope and exercises the restart-free
@@ -130,7 +127,6 @@ fn differential_check(seed: u64, budget: usize) -> FuzzOutcome {
     let spurious = rmw && cfg_rng.gen_range(0..4u32) == 0;
 
     let params = ModelParams {
-        steal_batch,
         allow_spurious_stcx_failure: spurious,
         ..ModelParams::default()
     };
@@ -167,8 +163,7 @@ fn differential_check(seed: u64, budget: usize) -> FuzzOutcome {
 
     let context = || {
         format!(
-            "fuzz seed {seed:#018x} ({threads} workers, steal batch {steal_batch}, \
-             spurious stcx {spurious})\n\
+            "fuzz seed {seed:#018x} ({threads} workers, spurious stcx {spurious})\n\
              replay: ORACLE_FUZZ_SEED={seed:#x} ORACLE_FUZZ_PROGRAMS=1 \
              cargo test --release --test oracle_fuzz\n{}",
             prog.source
@@ -176,7 +171,7 @@ fn differential_check(seed: u64, budget: usize) -> FuzzOutcome {
     };
     assert!(
         !par.stats.truncated,
-        "work-stealing engine truncated where sequential did not\n{}",
+        "the pool truncated where one worker did not\n{}",
         context()
     );
     assert_eq!(
@@ -199,7 +194,7 @@ fn differential_check(seed: u64, budget: usize) -> FuzzOutcome {
     );
     assert!(
         seq.finals == par.finals,
-        "final states diverged (sequential {} vs work-stealing {})\n{}",
+        "final states diverged (one worker {} vs the pool {})\n{}",
         seq.finals.len(),
         par.finals.len(),
         context()

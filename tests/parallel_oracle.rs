@@ -1,11 +1,14 @@
-//! Observational equivalence of the parallel sharded-frontier oracle:
-//! for a ladder of library tests, exploring with 2 and 4 worker threads
-//! must yield *byte-identical* `Outcomes::finals` (and the same state
-//! count and verdict) as the single-threaded engine.
+//! Observational equivalence of the exploration pool: for a ladder of
+//! library tests, exploring with 2 and 4 worker threads must yield
+//! *byte-identical* `Outcomes::finals` (and the same state count and
+//! verdict) as one worker. Also here: the pool's edge cases — more
+//! workers than work, work left only on disk, a deadline that expires
+//! while workers are idle.
 
 use ppcmem::idl::Reg;
-use ppcmem::litmus::{build_system, library, parse, run, run_limited};
+use ppcmem::litmus::{build_system, library, parse, run, run_limited, LitmusTest};
 use ppcmem::model::{explore_limited, ExploreLimits, ModelParams};
+use std::time::{Duration, Instant};
 
 /// The equivalence ladder: coherence shapes up through three-thread
 /// cumulativity tests (kept to sizes that explore three times over in
@@ -119,7 +122,8 @@ fn model_params_threads_knob() {
     assert!(!seq.witnessed, "MP+syncs is forbidden");
 }
 
-/// Both engines respect the state budget and report truncation.
+/// One worker and a pool both respect the state budget and report
+/// truncation.
 #[test]
 fn both_engines_report_truncation() {
     let entry = library()
@@ -142,10 +146,104 @@ fn both_engines_report_truncation() {
             r.stats.truncated,
             "threads={threads}: 500-state budget must truncate 2+2W"
         );
+        // A failed claim is rolled back, so one worker stops at exactly
+        // the budget; a pool never expands more.
+        if threads == 1 {
+            assert_eq!(r.stats.states, 500, "threads=1: budget not met exactly");
+        } else {
+            assert!(
+                r.stats.states <= 500,
+                "threads={threads}: budget overrun ({} states)",
+                r.stats.states
+            );
+        }
+    }
+}
+
+/// The library test `name`, parsed.
+fn library_test(name: &str) -> LitmusTest {
+    let entry = library()
+        .into_iter()
+        .find(|e| e.name == name)
+        .unwrap_or_else(|| panic!("{name} in library"));
+    parse(entry.source).expect("library parses")
+}
+
+/// More workers than the search can feed: CoRR's 88 states at eight
+/// workers, most of them idle most of the time, match one worker.
+#[test]
+fn pool_of_eight_matches_one_worker() {
+    let test = library_test("CoRR");
+    let params = ModelParams::default();
+    let one = run_limited(&test, &params, &ExploreLimits::default());
+    let eight = run_limited(
+        &test,
+        &params,
+        &ExploreLimits {
+            threads: 8,
+            ..ExploreLimits::default()
+        },
+    );
+    assert!(!eight.stats.truncated);
+    assert_eq!(
+        (one.stats.states, one.stats.transitions, &one.finals),
+        (eight.stats.states, eight.stats.transitions, &eight.finals)
+    );
+}
+
+/// A pool whose only work left is on disk: under a 16-state resident
+/// budget four workers spill, run dry, and must take the spilled
+/// segments before counting themselves idle. A termination rule that
+/// ignores the disk ends early with too few states.
+#[test]
+fn spilling_pool_matches_one_worker() {
+    let mut spilled = 0;
+    for name in ["SB", "MP"] {
+        let test = library_test(name);
+        let one = run_limited(&test, &ModelParams::default(), &ExploreLimits::default());
+        let params = ModelParams {
+            max_resident_states: 16,
+            ..ModelParams::default()
+        };
+        let limits = ExploreLimits {
+            threads: 4,
+            ..ExploreLimits::default()
+        };
+        for run in 0..20 {
+            let pool = run_limited(&test, &params, &limits);
+            assert!(!pool.stats.truncated, "{name}, run {run}: truncated");
+            assert_eq!(
+                (one.stats.states, one.stats.transitions, &one.finals),
+                (pool.stats.states, pool.stats.transitions, &pool.finals),
+                "{name}, run {run}: the spilling pool diverged"
+            );
+            spilled += pool.stats.spilled_states;
+        }
+    }
+    assert!(spilled > 0, "no run spilled: the disk path did not engage");
+}
+
+/// A deadline that expires while workers are idle, waiting for a
+/// donation: the stop must wake them. Deadlines from already past to
+/// 19 ms out on a 215k-state test, so the trip lands at different
+/// moments of the pool's start; a stop that leaves idle workers asleep
+/// hangs here.
+#[test]
+fn expired_deadline_wakes_idle_workers() {
+    let test = library_test("LB+addrs+WW");
+    for ms in 0..20 {
+        let r = run_limited(
+            &test,
+            &ModelParams::default(),
+            &ExploreLimits {
+                threads: 4,
+                deadline: Some(Instant::now() + Duration::from_millis(ms)),
+                ..ExploreLimits::default()
+            },
+        );
         assert!(
-            r.stats.states <= 501,
-            "threads={threads}: budget overrun ({} states)",
-            r.stats.states
+            r.stats.truncated,
+            "{ms} ms: the deadline did not stop the pool"
         );
     }
 }
