@@ -74,13 +74,12 @@ const BOOL_FLAGS: &[&str] = &[
     "--library-only",
     "--paper-only",
     "--quiet",
-    "--tcp",
     "--expect-cached",
 ];
 
 const USAGE: &str = "conformance [--jobs N] [--model-threads N] [--max-states N] \
      [--max-resident N] [--timeout-secs S] [--context-bound N] \
-     [--reduced] [--distributed N] [--tcp] [--cache DIR] [--expect-cached] \
+     [--reduced] [--distributed N] [--cache DIR] [--expect-cached] \
      [--json PATH] [--library-only] [--paper-only] [--quiet]";
 
 #[allow(clippy::too_many_lines)]
@@ -102,7 +101,6 @@ fn main() {
     let timeout_secs: u64 = parse_arg("conformance", &args, "--timeout-secs", 0);
     let context_bound: usize = parse_nonzero_arg("conformance", &args, "--context-bound", 0);
     let distributed: usize = parse_arg("conformance", &args, "--distributed", 0);
-    let tcp = args.iter().any(|a| a == "--tcp");
     let reduced = args.iter().any(|a| a == "--reduced");
     let cache = arg_value(&args, "--cache");
     let expect_cached = args.iter().any(|a| a == "--expect-cached");
@@ -139,7 +137,6 @@ fn main() {
             Some(Duration::from_secs(timeout_secs))
         },
         distributed,
-        tcp,
     };
 
     eprintln!(
@@ -164,10 +161,7 @@ fn main() {
         if distributed == 0 {
             String::new()
         } else {
-            format!(
-                ", {distributed} distributed worker processes{}",
-                if tcp { " (loopback TCP)" } else { "" }
-            )
+            format!(", {distributed} distributed worker processes")
         },
         cfg.timeout_per_test
             .map(|t| format!(", {}s timeout", t.as_secs()))

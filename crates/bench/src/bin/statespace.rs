@@ -45,17 +45,16 @@
 //! parameters, so its counts must agree with the freshly-run parallel
 //! engine.
 //!
-//! `--tcp` moves the distributed run onto loopback TCP (same wire
-//! protocol, the multi-machine transport). For an actual multi-machine
-//! run the coordinator takes `--listen ADDR` and spawns nothing, while
-//! each worker machine runs `statespace --connect HOST:PORT` — a
-//! long-lived worker loop that serves one exploration per connection
-//! and reconnects (with bounded-retry backoff) for the next ladder
-//! test. Liveness tunables: `PPCMEM_DISTRIB_HEARTBEAT_MS`,
+//! The distributed workers are copies of this binary dialling a
+//! loopback port. For a multi-machine run the coordinator takes
+//! `--listen ADDR` and spawns nothing, while each worker machine runs
+//! `statespace --connect HOST:PORT` — a long-lived worker loop that
+//! serves one exploration per connection and reconnects (with
+//! bounded-retry backoff) for the next ladder test. Liveness tunables: `PPCMEM_DISTRIB_HEARTBEAT_MS`,
 //! `PPCMEM_DISTRIB_PEER_TIMEOUT_MS`, `PPCMEM_DISTRIB_ACCEPT_SECS`.
 
 use bench::args::{arg_value, check_flags, parse_arg, parse_nonzero_arg};
-use ppc_litmus::distrib::{run_source_distributed, DistribConfig, WorkerLaunch};
+use ppc_litmus::distrib::{run_source_distributed, DistribConfig};
 use ppc_litmus::harness::{HarnessConfig, Job};
 use ppc_litmus::{library, parse, run_limited};
 use ppc_model::{
@@ -76,10 +75,10 @@ const VALUE_FLAGS: &[&str] = &[
     "--cache",
 ];
 /// Boolean flags.
-const BOOL_FLAGS: &[&str] = &["--reduced", "--tcp"];
+const BOOL_FLAGS: &[&str] = &["--reduced"];
 
 const USAGE: &str = "statespace [--threads N] [--max-resident N] [--context-bound N] \
-     [--reduced] [--distributed N] [--checkpoint PATH] [--tcp] [--listen ADDR] \
+     [--reduced] [--distributed N] [--checkpoint PATH] [--listen ADDR] \
      [--connect HOST:PORT] [--cache DIR]";
 
 /// The ladder of representative tests, roughly by state-space size.
@@ -128,13 +127,7 @@ fn main() {
     let checkpoint = arg_value(&args, "--checkpoint");
     let cache = arg_value(&args, "--cache");
     let reduced = args.iter().any(|a| a == "--reduced");
-    let tcp = args.iter().any(|a| a == "--tcp");
     let listen = arg_value(&args, "--listen");
-    let launch = match &listen {
-        Some(addr) => WorkerLaunch::TcpListen(addr.clone()),
-        None if tcp => WorkerLaunch::TcpLoopback,
-        None => WorkerLaunch::Unix,
-    };
     if listen.is_some() && distributed == 0 {
         eprintln!("statespace: --listen requires --distributed N (the worker count to wait for)");
         std::process::exit(2);
@@ -164,11 +157,10 @@ fn main() {
         oracle
     });
     if distributed != 0 {
-        let transport = match &launch {
-            WorkerLaunch::Unix => String::new(),
-            WorkerLaunch::TcpLoopback => " over loopback TCP".to_owned(),
-            WorkerLaunch::TcpListen(addr) => format!(" listening on {addr} (external workers)"),
-        };
+        let transport = listen
+            .as_deref()
+            .map(|addr| format!(" listening on {addr} (external workers)"))
+            .unwrap_or_default();
         println!(
             "distributed engine: {distributed} worker processes{transport}, \
              digest-prefix sharded visited set{}",
@@ -257,7 +249,7 @@ fn main() {
                 checkpoint: checkpoint
                     .as_deref()
                     .map(|p| std::path::PathBuf::from(format!("{p}.{name}"))),
-                launch: launch.clone(),
+                listen: listen.clone(),
                 ..DistribConfig::default()
             };
             let r = run_source_distributed(e.source, &params, &par, &dcfg);

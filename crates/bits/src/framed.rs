@@ -32,8 +32,8 @@ use std::io::{self, Read, Write};
 const HEADER: usize = 9;
 
 /// `true` for the error kinds a timed-out socket read surfaces
-/// (`WouldBlock` on Unix-domain `SO_RCVTIMEO`, `TimedOut` on some TCP
-/// stacks) — silence, as opposed to EOF or reset.
+/// (`WouldBlock` where an expired `SO_RCVTIMEO` reports `EAGAIN`, as on
+/// Unix; `TimedOut` on Windows) — silence, as opposed to EOF or reset.
 #[must_use]
 pub fn is_timeout(e: &io::Error) -> bool {
     matches!(

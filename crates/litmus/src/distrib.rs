@@ -4,19 +4,22 @@
 //! *truncated* (inconclusive) result instead of a panic or a silent
 //! partial pass.
 //!
-//! Three launch modes ([`WorkerLaunch`]):
+//! Every link is TCP ([`ppc_model::net`]), and workers come to exist
+//! in one of two ways ([`DistribConfig::listen`]):
 //!
-//! - **Unix** (default): the coordinator binds a Unix socket in a fresh
-//!   collision-safe temp directory and re-executes its own binary N
-//!   times with [`SOCKET_ENV`] pointing at the socket.
-//! - **TcpLoopback**: identical lifecycle, but the socket is a loopback
-//!   TCP listener on an OS-assigned port and workers get [`TCP_ENV`] —
-//!   the wire bytes are the same, which is what the TCP differential
-//!   suite pins.
-//! - **TcpListen(addr)**: multi-machine. The coordinator binds `addr`
+//! - **Self-spawned** (the default): the coordinator binds a loopback
+//!   listener on an OS-assigned port and re-executes its own binary N
+//!   times with [`TCP_ENV`] set to `SECRET@127.0.0.1:PORT`. The secret
+//!   is fresh per run and travels only in the workers' environments,
+//!   which only their owner can read. Each worker sends it as its first
+//!   blob ([`send_secret`]), and the coordinator closes, uncounted, any
+//!   connection whose first blob is not the secret within a short
+//!   deadline — so another local user who finds the port can neither
+//!   take a shard's job nor return a forged result.
+//! - **Listen**: multi-machine. The coordinator binds the given address
 //!   and spawns nothing; externally launched workers (`--connect
 //!   HOST:PORT`, see [`run_remote_worker`]) dial in with bounded-retry
-//!   exponential backoff.
+//!   exponential backoff. These links are not authenticated.
 //!
 //! Each accepted connection gets a job frame: shard index, shard count,
 //! the encoded [`ModelParams`], the litmus source text, and the
@@ -30,8 +33,8 @@
 //! [`maybe_run_worker`] first thing in `main`; test binaries expose a
 //! `distrib_worker_shim` test and spawn themselves with
 //! `["distrib_worker_shim", "--exact"]` as the worker args. Either
-//! way, a process with [`SOCKET_ENV`] or [`TCP_ENV`] set never returns
-//! from [`maybe_run_worker`].
+//! way, a process with [`TCP_ENV`] set never returns from
+//! [`maybe_run_worker`].
 
 use crate::library::LitmusEntry;
 use crate::run::{build_system, observations, result_from_outcomes, CheckReport, RunResult};
@@ -41,37 +44,36 @@ use ppc_model::distrib::{
     self, load_checkpoint, read_blob, write_blob, Checkpoint, CoordinatorConfig, DistribOutcome,
     WorkerEnv,
 };
-use ppc_model::net::{Conn, Listener, NetParams};
+use ppc_model::net::{apply_net, bind_retrying, connect_backoff, NetParams};
 use ppc_model::store::create_unique_temp_dir;
 use ppc_model::{
     CodecCtx, ExplorationStats, ExploreLimits, Frame, MemoStats, ModelParams, Outcomes,
     SuccMemoStats,
 };
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::io;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// Environment variable carrying the coordinator's Unix socket path;
-/// its presence turns a process into a distributed worker (see
-/// [`maybe_run_worker`]).
-pub const SOCKET_ENV: &str = "PPCMEM_DISTRIB_SOCKET";
-
-/// Environment variable carrying the coordinator's TCP `host:port`;
-/// its presence turns a process into a distributed worker connecting
-/// over loopback/LAN TCP.
+/// Environment variable carrying `SECRET@HOST:PORT` — the run's secret
+/// and the coordinator's loopback address — to the workers a
+/// coordinator spawns; its presence turns a process into a distributed
+/// worker (see [`maybe_run_worker`]).
 pub const TCP_ENV: &str = "PPCMEM_DISTRIB_TCP";
 
 /// Override (seconds) for how long the coordinator waits for workers to
-/// connect. Mostly useful with [`WorkerLaunch::TcpListen`], where
-/// humans and orchestration scripts are in the loop.
+/// connect. Mostly useful with [`DistribConfig::listen`], where humans
+/// and orchestration scripts are in the loop.
 pub const ACCEPT_SECS_ENV: &str = "PPCMEM_DISTRIB_ACCEPT_SECS";
 
 /// How long the coordinator waits for self-spawned workers to connect.
 const ACCEPT_DEADLINE: Duration = Duration::from_secs(10);
 
 /// How long the coordinator waits for externally launched workers
-/// ([`WorkerLaunch::TcpListen`]) — machines boot, images pull.
+/// ([`DistribConfig::listen`]) — machines boot, images pull.
 const EXTERNAL_ACCEPT_DEADLINE: Duration = Duration::from_secs(120);
 
 /// First and longest sleep between polls of the non-blocking `accept`
@@ -85,19 +87,10 @@ const ACCEPT_POLL_MAX: Duration = Duration::from_micros(800);
 /// (after it, [`NetParams::peer_timeout`] governs).
 const PRE_JOB_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// How worker processes come to exist and connect.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub enum WorkerLaunch {
-    /// Re-exec self over a Unix socket (single machine; PR 8's mode).
-    #[default]
-    Unix,
-    /// Re-exec self over loopback TCP (single machine, TCP wire path —
-    /// the differential-testing mode for the multi-machine transport).
-    TcpLoopback,
-    /// Bind this TCP address and wait for externally launched workers
-    /// (`--connect`) instead of spawning any.
-    TcpListen(String),
-}
+/// How long a self-spawned worker's link may take to present the run's
+/// secret. A real worker sends it right after connecting, so only a
+/// stranger that connects and stays silent ever waits this out.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Configuration for one distributed exploration.
 #[derive(Clone, Debug, Default)]
@@ -118,8 +111,11 @@ pub struct DistribConfig {
     /// ([`ppc_model::net::FAULT_ENV`]) goes here, per-command, never via
     /// global `set_var`.
     pub worker_env: Vec<(String, String)>,
-    /// Transport / launch mode.
-    pub launch: WorkerLaunch,
+    /// `None`: spawn the workers as copies of this binary over loopback.
+    /// `Some(addr)`: bind `addr` and wait for `workers` externally
+    /// launched workers (`--connect`, see [`run_remote_worker`]) instead
+    /// of spawning any.
+    pub listen: Option<String>,
     /// Heartbeat period override in milliseconds (else
     /// [`ppc_model::net::HEARTBEAT_ENV`] or the default).
     pub heartbeat_ms: Option<u64>,
@@ -146,20 +142,26 @@ impl DistribConfig {
     }
 }
 
-/// If [`SOCKET_ENV`] or [`TCP_ENV`] is set, run this process as a
-/// distributed worker and **exit** (status 0 after a clean Result
-/// handoff, 1 on a transport/parse failure — the coordinator sees the
-/// vanished link and degrades gracefully either way). A no-op when
-/// neither variable is present.
+/// If [`TCP_ENV`] is set, run this process as a distributed worker and
+/// **exit** (status 0 after a clean Result handoff, 1 on a
+/// transport/parse failure — the coordinator sees the vanished link and
+/// degrades gracefully either way). A no-op when the variable is
+/// absent.
 pub fn maybe_run_worker() {
-    let conn = if let Ok(path) = std::env::var(SOCKET_ENV) {
-        Conn::connect_unix(std::path::Path::new(&path))
-    } else if let Ok(addr) = std::env::var(TCP_ENV) {
-        Conn::connect_tcp_backoff(&addr)
-    } else {
+    let Ok(endpoint) = std::env::var(TCP_ENV) else {
         return;
     };
-    match conn.and_then(serve_one_job) {
+    let served = match endpoint.split_once('@') {
+        Some((secret, addr)) => connect_backoff(addr).and_then(|mut sock| {
+            send_secret(&mut sock, secret)?;
+            serve_one_job(sock)
+        }),
+        None => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{TCP_ENV} is not SECRET@HOST:PORT"),
+        )),
+    };
+    match served {
         Ok(()) => std::process::exit(0),
         Err(e) => {
             eprintln!("ppcmem distributed worker: {e}");
@@ -181,7 +183,7 @@ pub fn maybe_run_worker() {
 pub fn run_remote_worker(addr: &str) -> io::Result<()> {
     let mut served = 0u64;
     loop {
-        let conn = match Conn::connect_tcp_backoff(addr) {
+        let conn = match connect_backoff(addr) {
             Ok(c) => c,
             Err(e) if served > 0 => {
                 eprintln!("ppcmem worker: coordinator gone after {served} jobs ({e}); exiting");
@@ -204,13 +206,10 @@ pub fn run_remote_worker(addr: &str) -> io::Result<()> {
 
 /// Receive the job over an established connection, rebuild the test
 /// locally, and run the worker loop to completion.
-fn serve_one_job(mut sock: Conn) -> io::Result<()> {
+fn serve_one_job(mut sock: TcpStream) -> io::Result<()> {
     // Bound the wait for the job frame; the real liveness deadlines
     // arrive *in* the job frame.
-    sock.apply_net(&NetParams {
-        heartbeat: PRE_JOB_TIMEOUT,
-        peer_timeout: PRE_JOB_TIMEOUT,
-    })?;
+    sock.set_read_timeout(Some(PRE_JOB_TIMEOUT))?;
     let job = read_blob(&mut sock)?;
     let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
     let mut r = Reader::new(&job);
@@ -237,7 +236,7 @@ fn serve_one_job(mut sock: Conn) -> io::Result<()> {
     let test = crate::parse(&source).map_err(|e| bad(&format!("job source: {e}")))?;
     let initial = build_system(&test, &params);
     let (reg_obs, mem_obs) = observations(&test);
-    sock.apply_net(&net)?;
+    apply_net(&sock, &net)?;
     distrib::run_worker(
         sock,
         &WorkerEnv {
@@ -249,6 +248,41 @@ fn serve_one_job(mut sock: Conn) -> io::Result<()> {
         },
         &net,
     )
+}
+
+/// A fresh per-run secret: two SipHash outputs under std's randomly
+/// keyed [`RandomState`] (its keys come from the OS's randomness),
+/// hex-encoded so it can travel in [`TCP_ENV`].
+fn run_secret() -> String {
+    (0..2u64)
+        .map(|i| {
+            let mut h = RandomState::new().build_hasher();
+            h.write_u64(i);
+            format!("{:016x}", h.finish())
+        })
+        .collect()
+}
+
+/// The worker's half of the self-spawned handshake: present the run's
+/// secret as the link's first blob.
+///
+/// # Errors
+///
+/// Propagates the write error.
+pub fn send_secret(sock: &mut TcpStream, secret: &str) -> io::Result<()> {
+    write_blob(sock, secret.as_bytes())
+}
+
+/// The coordinator's half: whether the link's first blob, read within
+/// [`HANDSHAKE_TIMEOUT`] and no longer than the secret, is the secret.
+/// The comparison does not stop at the first differing byte.
+pub(crate) fn check_secret(sock: &mut TcpStream, secret: &str) -> bool {
+    let first = sock
+        .set_nonblocking(false)
+        .and_then(|()| sock.set_read_timeout(Some(HANDSHAKE_TIMEOUT)))
+        .and_then(|()| ppc_bits::framed::read_blob(sock, secret.len(), |_| false));
+    matches!(first, Ok(Some(got)) if got.len() == secret.len()
+        && got.iter().zip(secret.bytes()).fold(0, |acc, (a, b)| acc | (a ^ b)) == 0)
 }
 
 /// FNV-1a over the job identity (source text + encoded params): the
@@ -298,41 +332,39 @@ pub fn explore_distributed(
         _ => None,
     };
 
-    // The temp dir holds the Unix socket (when used) and the per-shard
-    // relay journals that make worker-death checkpoints possible.
-    let dir = create_unique_temp_dir("ppcmem-distrib")?;
+    // The per-shard relay journals make a worker-death checkpoint
+    // possible; without a checkpoint nothing would read them.
+    let journal_dir = match cfg.checkpoint {
+        Some(_) => Some(create_unique_temp_dir("ppcmem-distrib")?),
+        None => None,
+    };
     let cleanup = |children: &mut Vec<Child>| {
         for c in children.iter_mut() {
             let _ = c.kill();
             let _ = c.wait();
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        if let Some(dir) = &journal_dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     };
 
-    // Bind the listener and decide how workers appear.
-    let (listener, worker_endpoint): (Listener, Option<(&str, String)>) = match &cfg.launch {
-        WorkerLaunch::Unix => {
-            let sock_path = dir.join("coord.sock");
-            let l = Listener::bind_unix(&sock_path)?;
-            let path = sock_path.to_string_lossy().into_owned();
-            (l, Some((SOCKET_ENV, path)))
-        }
-        WorkerLaunch::TcpLoopback => {
-            let l = Listener::bind_tcp("127.0.0.1:0")?;
-            let port = l.tcp_port().expect("tcp listener has a port");
-            (l, Some((TCP_ENV, format!("127.0.0.1:{port}"))))
-        }
-        WorkerLaunch::TcpListen(addr) => (Listener::bind_tcp(addr.as_str())?, None),
+    // Bind the listener: a loopback port guarded by a fresh secret for
+    // self-spawned workers, or the given address for a `--connect`
+    // fleet.
+    let (listener, secret) = match &cfg.listen {
+        Some(addr) => (bind_retrying(addr.as_str())?, None),
+        None => (bind_retrying("127.0.0.1:0")?, Some(run_secret())),
     };
     listener.set_nonblocking(true)?;
 
     let mut children: Vec<Child> = Vec::new();
-    if let Some((env_key, endpoint)) = &worker_endpoint {
+    if let Some(secret) = &secret {
+        let endpoint = format!("{secret}@{}", listener.local_addr()?);
         let exe = std::env::current_exe()?;
         for _ in 0..n {
             let mut cmd = Command::new(&exe);
             cmd.args(&cfg.worker_args)
-                .env(env_key, endpoint)
+                .env(TCP_ENV, &endpoint)
                 .stdin(Stdio::null())
                 // Workers re-execute this binary; its normal stdout
                 // (test-harness chatter, report tables) would corrupt
@@ -360,7 +392,8 @@ pub fn explore_distributed(
     let ctx = CodecCtx::new(initial.program.clone(), params.clone());
 
     // Accept exactly n connections, watching (when self-spawned) for
-    // workers that die before connecting.
+    // workers that die before connecting, and counting a self-spawned
+    // fleet's link only once it has presented the secret.
     let accept_deadline = std::env::var(ACCEPT_SECS_ENV)
         .ok()
         .and_then(|v| v.parse().ok())
@@ -370,15 +403,17 @@ pub fn explore_distributed(
         } else {
             ACCEPT_DEADLINE
         });
-    let mut conns: Vec<Conn> = Vec::with_capacity(n);
+    let mut conns: Vec<TcpStream> = Vec::with_capacity(n);
     let t0 = Instant::now();
     let mut poll = ACCEPT_POLL_MIN;
     let accept_err = loop {
         match listener.accept() {
-            Ok(s) => {
-                conns.push(s);
-                if conns.len() == n {
-                    break None;
+            Ok((mut s, _)) => {
+                if secret.as_ref().is_none_or(|k| check_secret(&mut s, k)) {
+                    conns.push(s);
+                    if conns.len() == n {
+                        break None;
+                    }
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -415,7 +450,7 @@ pub fn explore_distributed(
     for (shard, conn) in conns.iter_mut().enumerate() {
         let mut ship = || -> io::Result<()> {
             conn.set_nonblocking(false)?;
-            conn.apply_net(&net)?;
+            apply_net(conn, &net)?;
             let mut w = Writer::new();
             w.usizev(shard);
             w.usizev(n);
@@ -449,10 +484,12 @@ pub fn explore_distributed(
             job_digest: digest,
             resume,
             net,
-            journal_dir: cfg.checkpoint.is_some().then(|| dir.clone()),
+            journal_dir: journal_dir.clone(),
         },
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    if let Some(dir) = &journal_dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
     Ok(outcome)
 }
 

@@ -7,7 +7,7 @@
 //! ("we ran the tool on a library of litmus tests...comparing the model
 //! verdicts against the architectural intent") packaged as a reusable
 //! engine. Tests are distributed over a worker pool (test-level
-//! parallelism composes with the oracle's own work-stealing parallelism
+//! parallelism composes with the oracle's own pool of frontiers
 //! via [`ModelParams::threads`], with the per-test exploration thread
 //! budget clamped by [`HarnessConfig::inner_threads_for`] so the two
 //! layers never oversubscribe the machine); each test gets a state
@@ -117,10 +117,6 @@ pub struct HarnessConfig {
     /// the workers, so its `main` must call
     /// [`crate::distrib::maybe_run_worker`] first.
     pub distributed: usize,
-    /// Run distributed explorations over loopback TCP instead of Unix
-    /// sockets (exercises the multi-machine wire path; ignored when
-    /// `distributed` is `0`).
-    pub tcp: bool,
 }
 
 impl HarnessConfig {
@@ -143,14 +139,14 @@ impl HarnessConfig {
     /// `pool × threads` workers never oversubscribe the machine.
     /// Test-level parallelism is strictly more efficient than
     /// intra-exploration parallelism — tests are independent, so there
-    /// is no shared visited set or stealing traffic — so when the two
+    /// is no shared visited set or donation traffic — so when the two
     /// layers compete for cores the test pool wins and each exploration
     /// falls back toward the sequential engine (always keeping at least
     /// one worker). With a single concurrent test there is no
     /// competition, so an explicitly requested thread count is honoured
-    /// as-is (e.g. `--jobs 1 --model-threads 4` drives the
-    /// work-stealing engine even on a 1-CPU host, where it is the only
-    /// way to exercise that engine through the harness). The clamp uses
+    /// as-is (e.g. `--jobs 1 --model-threads 4` drives a four-worker
+    /// pool even on a 1-CPU host, where it is the only way to exercise
+    /// a multi-worker pool through the harness). The clamp uses
     /// the *actual* pool size, not the configured job count, so a small
     /// suite on a big machine keeps its exploration parallelism instead
     /// of idling the spare cores.
@@ -606,7 +602,7 @@ pub fn run_suite_jobs(suite: &[Job], cfg: &HarnessConfig) -> HarnessReport {
 /// machine with, so the configured exploration thread count is used
 /// as-is; inside [`run_suite`] the thread budget is clamped by
 /// [`HarnessConfig::inner_threads_for`] instead, so the test pool and
-/// the oracle's work-stealing workers share the machine rather than
+/// the oracle's pool workers share the machine rather than
 /// fighting over it.
 #[must_use]
 pub fn run_one(entry: &LitmusEntry, cfg: &HarnessConfig) -> TestReport {
@@ -635,11 +631,6 @@ fn run_job_with_threads(job: &Job, cfg: &HarnessConfig, threads: usize) -> TestR
             &limits,
             &crate::distrib::DistribConfig {
                 workers: cfg.distributed,
-                launch: if cfg.tcp {
-                    crate::distrib::WorkerLaunch::TcpLoopback
-                } else {
-                    crate::distrib::WorkerLaunch::Unix
-                },
                 ..crate::distrib::DistribConfig::default()
             },
         )

@@ -37,7 +37,7 @@ mod test;
 pub use cond::{Cond, CondAtom, CondExpr, Quantifier};
 pub use distrib::{
     maybe_run_worker, run_entry_distributed, run_remote_worker, run_source_distributed,
-    DistribConfig, WorkerLaunch,
+    DistribConfig,
 };
 pub use families::generated_suite;
 pub use harness::{

@@ -442,3 +442,30 @@ fn default_params_job_digest_is_pinned() {
         0xb66c_5404_4a98_f6cf
     );
 }
+
+/// The coordinator's half of the self-spawned handshake admits only the
+/// exact secret: a wrong one of the same length, a short one, an
+/// over-long length prefix (refused before any payload is read) and a
+/// link closed without a word all fail.
+#[test]
+fn secret_check_admits_only_the_exact_secret() {
+    use crate::distrib::{check_secret, send_secret};
+    use std::net::{Shutdown, TcpListener, TcpStream};
+    let secret = "0123456789abcdef0123456789abcdef";
+    let check = |peer: &dyn Fn(&mut TcpStream)| -> bool {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let mut stranger =
+            TcpStream::connect(listener.local_addr().expect("port")).expect("connect loopback");
+        peer(&mut stranger);
+        let (mut link, _) = listener.accept().expect("accept");
+        check_secret(&mut link, secret)
+    };
+    assert!(check(&|s| send_secret(s, secret).expect("send")));
+    let wrong = secret.replace('f', "e");
+    assert!(!check(&|s| send_secret(s, &wrong).expect("send")));
+    assert!(!check(&|s| send_secret(s, "0123").expect("send")));
+    assert!(!check(
+        &|s| send_secret(s, &format!("{secret}0")).expect("send")
+    ));
+    assert!(!check(&|s| s.shutdown(Shutdown::Write).expect("close")));
+}

@@ -10,7 +10,7 @@ use super::msg::{
 };
 use super::probe::{ProbeTracker, ProbeVerdict};
 use super::{shard_of, ROUTE_BATCH};
-use crate::net::{Conn, NetParams};
+use crate::net::NetParams;
 use crate::oracle::{ExplorationStats, ExploreLimits, FinalState, Frame, Outcomes, SuccMemoStats};
 use crate::state_codec::{CodecCtx, MemoStats};
 use crate::store::encode_frame;
@@ -19,6 +19,7 @@ use ppc_bits::{Reader, Writer};
 use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write as _};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::sync::mpsc;
@@ -69,7 +70,7 @@ pub struct CoordinatorConfig<'a> {
 
 /// The per-worker connection state the coordinator tracks.
 struct Link {
-    sock: Conn,
+    sock: TcpStream,
     /// The outgoing end of this link (owns the envelope's `seq`).
     tx: Sender,
     /// Batch frames forwarded to this worker (the probe invariant's
@@ -90,7 +91,7 @@ struct Link {
 }
 
 impl Link {
-    fn new(sock: Conn) -> Self {
+    fn new(sock: TcpStream) -> Self {
         Link {
             sock,
             tx: Sender::new(MAX_BLOB),
@@ -127,7 +128,7 @@ fn by_owner<T>(
 /// never panics on transport errors and never returns a partial result
 /// labelled conclusive.
 pub fn coordinate(
-    conns: Vec<Conn>,
+    conns: Vec<TcpStream>,
     mut children: Vec<Child>,
     root: Frame,
     ctx: &CodecCtx,
@@ -697,7 +698,7 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::os::unix::net::UnixStream;
+    use crate::net::loopback_pair;
 
     /// A wire-supplied `Route { dest }` outside `0..n` is a protocol
     /// violation that loses the sending link (truncated + `store_error`)
@@ -706,12 +707,9 @@ mod tests {
     #[test]
     fn route_to_unknown_shard_fails_the_link_instead_of_rehoming() {
         let (socks, _peers): (Vec<_>, Vec<_>) = (0..2)
-            .map(|_| UnixStream::pair().expect("socket pair"))
+            .map(|_| loopback_pair().expect("loopback pair"))
             .unzip();
-        let links = socks
-            .into_iter()
-            .map(|s| Link::new(Conn::Unix(s)))
-            .collect();
+        let links = socks.into_iter().map(Link::new).collect();
         let mut st = Coordinator::new(links, None, NetParams::default());
         let frames = vec![FrameRecord {
             digest: u64::MAX,

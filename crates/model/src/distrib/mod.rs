@@ -12,11 +12,11 @@
 //!
 //! ## Topology and wire format
 //!
-//! Hub-and-spoke over [`crate::net::Conn`] links — Unix sockets on one
-//! machine, TCP across machines, same bytes either way: the coordinator
-//! relays every worker→worker frame batch, so each process owns exactly
-//! one connection and FIFO ordering per link is guaranteed by the
-//! socket. Both sides run a dedicated reader thread that drains the
+//! Hub-and-spoke over TCP links ([`crate::net`]) — loopback for
+//! self-spawned workers, the LAN for a `--connect` fleet: the
+//! coordinator relays every worker→worker frame batch, so each process
+//! owns exactly one connection and FIFO ordering per link is guaranteed
+//! by the stream. Both sides run a dedicated reader thread that drains the
 //! socket into an unbounded channel, so neither side ever blocks a
 //! write on its peer's reads (no deadlock by construction).
 //!
@@ -53,7 +53,7 @@
 //! summed state/transition counts and the merged `finals` of an
 //! untruncated distributed run are byte-identical to the single-process
 //! engines', the same argument (and the same differential tests) as for
-//! the work-stealing engine.
+//! a multi-worker in-process pool.
 //!
 //! ### Dedup before codec
 //!

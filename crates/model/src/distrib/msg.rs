@@ -4,7 +4,7 @@
 //! prefix, sequence number, tag byte) is [`ppc_bits::framed`]'s; this
 //! protocol supplies its bound, [`MAX_BLOB`], and the tag space.
 
-use crate::net::{is_timeout, Conn};
+use crate::net::is_timeout;
 use crate::oracle::{ExplorationStats, FinalState};
 use crate::store::decode_retired_set;
 use crate::types::{ModelParams, ThreadId};
@@ -14,6 +14,7 @@ use ppc_idl::codec::{decode_reg, encode_reg};
 use ppc_idl::Reg;
 use std::collections::BTreeSet;
 use std::io::{self, BufReader};
+use std::net::TcpStream;
 
 /// Hard sanity cap on one wire message (a frame batch of
 /// [`super::ROUTE_BATCH`] litmus-scale states is orders of magnitude
@@ -424,7 +425,7 @@ pub(super) fn recv_msg(rx: &mut Receiver, r: &mut impl io::Read) -> io::Result<M
 /// thread ends after delivering the first error, or when `deliver`
 /// reports the consumer gone.
 pub(super) fn spawn_reader(
-    sock: Conn,
+    sock: TcpStream,
     mut deliver: impl FnMut(io::Result<Msg>) -> bool + Send + 'static,
 ) {
     std::thread::spawn(move || {

@@ -8,7 +8,7 @@ use super::{
     decode_params, encode_params, load_checkpoint, run_worker, save_checkpoint, shard_of,
     Checkpoint, WorkerEnv,
 };
-use crate::net::{Conn, NetParams};
+use crate::net::{loopback_pair, NetParams};
 use crate::oracle::{ExplorationStats, Frame};
 use crate::state_codec::{encode_transition, CodecCtx};
 use crate::store::{decode_frame, encode_frame};
@@ -19,7 +19,7 @@ use crate::types::ModelParams;
 use ppc_bits::framed::{Receiver, Sender};
 use ppc_bits::{Prng, Reader, Writer};
 use std::collections::{BTreeSet, HashSet};
-use std::os::unix::net::UnixStream;
+use std::net::TcpStream;
 
 /// Prefix routing must cover `0..n` and be monotone in the digest.
 #[test]
@@ -337,10 +337,10 @@ fn sent_table_forgets_but_never_invents() {
 }
 
 /// The coordinator's end of one worker link, driven by hand: a
-/// [`run_worker`] thread on the other end of a socket pair, exploring SB
-/// (`initial`) as the shard that owns the root.
+/// [`run_worker`] thread on the other end of a loopback link, exploring
+/// SB (`initial`) as the shard that owns the root.
 struct ScriptedLink {
-    sock: UnixStream,
+    sock: TcpStream,
     tx: Sender,
     rx: Receiver,
     worker: std::thread::JoinHandle<std::io::Result<()>>,
@@ -359,7 +359,7 @@ impl ScriptedLink {
             bytes: encode_frame(&ctx, &Frame::root(initial.clone())),
         };
         let shard = shard_of(root.digest, 2);
-        let (ours, theirs) = UnixStream::pair().expect("socket pair");
+        let (ours, theirs) = loopback_pair().expect("loopback pair");
         // A worker thread that panics leaves its reader's end of the
         // pair open: fail the test instead of waiting forever.
         ours.set_read_timeout(Some(std::time::Duration::from_secs(30)))
@@ -372,7 +372,7 @@ impl ScriptedLink {
                 reg_obs: &[],
                 mem_obs: &[],
             };
-            run_worker(Conn::Unix(theirs), &env, &NetParams::default())
+            run_worker(theirs, &env, &NetParams::default())
         });
         let mut link = ScriptedLink {
             sock: ours,

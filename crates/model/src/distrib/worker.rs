@@ -14,7 +14,7 @@ use super::msg::{
     encode_msg, send_msg, spawn_reader, FrameRecord, Msg, WorkerDump, WorkerResult, MAX_BLOB,
 };
 use super::{shard_of, ROUTE_BATCH};
-use crate::net::{Conn, FaultAction, FaultPlan, NetParams, SendKind};
+use crate::net::{FaultAction, FaultPlan, NetParams, SendKind};
 use crate::oracle::{DfsFrontier, ExplorationStats, FinalState, Frame};
 use crate::store::{decode_frame, encode_frame, StateStore, StoreError};
 use crate::system::SystemState;
@@ -23,6 +23,7 @@ use ppc_bits::framed::Sender;
 use ppc_idl::Reg;
 use std::collections::BTreeSet;
 use std::io::{self, Write as _};
+use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -92,7 +93,7 @@ pub struct WorkerEnv<'a> {
 /// Result with [`ExplorationStats::store_error`] set and exits cleanly
 /// — the exploration degrades to inconclusive, exactly like the
 /// single-process engines.
-pub fn run_worker(sock: Conn, env: &WorkerEnv<'_>, net: &NetParams) -> io::Result<()> {
+pub fn run_worker(sock: TcpStream, env: &WorkerEnv<'_>, net: &NetParams) -> io::Result<()> {
     Worker::new(sock, env, *net)?.run()
 }
 
@@ -109,7 +110,7 @@ struct Worker<'a> {
     received: u64,
     /// States expanded (the probe/beat progress counter).
     expanded: u64,
-    sock: Conn,
+    sock: TcpStream,
     rx: mpsc::Receiver<io::Result<Msg>>,
     net: NetParams,
     /// The outgoing end of the link (owns the envelope's `seq`).
@@ -121,7 +122,7 @@ struct Worker<'a> {
 }
 
 impl<'a> Worker<'a> {
-    fn new(sock: Conn, env: &'a WorkerEnv<'a>, net: NetParams) -> io::Result<Self> {
+    fn new(sock: TcpStream, env: &'a WorkerEnv<'a>, net: NetParams) -> io::Result<Self> {
         let (tx, rx) = mpsc::channel::<io::Result<Msg>>();
         spawn_reader(sock.try_clone()?, move |msg| tx.send(msg).is_ok());
         Ok(Worker {
@@ -176,7 +177,7 @@ impl<'a> Worker<'a> {
                 let wire = self.tx.encode_next(tag, &body)?;
                 let _ = self.sock.write_all(&wire[..4 + (wire.len() - 4) / 2]);
                 let _ = self.sock.flush();
-                let _ = self.sock.shutdown_write();
+                let _ = self.sock.shutdown(Shutdown::Write);
                 std::process::abort();
             }
         }

@@ -1,25 +1,22 @@
-//! Transport abstraction for distributed exploration: one connection
-//! type over Unix sockets (single-machine, PR 8's original transport)
-//! and TCP (multi-machine), plus the robustness knobs every link gets —
-//! connect retry with exponential backoff, per-socket read/write
-//! deadlines, heartbeat pacing — and the deterministic network-fault
-//! injection used by the degradation tests.
+//! Link plumbing for distributed exploration and the oracle service:
+//! every link is a std [`TcpStream`] — loopback for self-spawned
+//! workers, LAN for `--connect` fleets and `oracled` clients — and this
+//! module holds the robustness knobs each one gets: connect retry with
+//! exponential backoff ([`connect_backoff`]), a bind that rides out
+//! `TIME_WAIT` ([`bind_retrying`]), per-socket read/write deadlines
+//! with `TCP_NODELAY` ([`apply_net`]), heartbeat pacing, and the
+//! deterministic network-fault injection used by the degradation tests.
 //!
-//! The wire protocol ([`crate::distrib`]) is byte-identical on both
-//! transports; everything here is plumbing, not protocol. TCP
-//! connections set `TCP_NODELAY` (the protocol is request/reply-ish and
-//! latency-bound, not throughput-bound) and both transports carry the
-//! same read deadline, which doubles as the dead-peer detector: a
-//! healthy peer sends *something* (worktraffic or a heartbeat) at least
-//! every [`NetParams::heartbeat`], so a read that sits silent for
-//! [`NetParams::peer_timeout`] means the peer is gone or hung — which,
-//! unlike an EOF, a crashed-but-connected or frozen peer never turns
-//! into an error on its own.
+//! Everything here is plumbing, not protocol ([`crate::distrib`] owns
+//! the wire format). The read deadline doubles as the dead-peer
+//! detector: a healthy peer sends *something* (work traffic or a
+//! heartbeat) at least every [`NetParams::heartbeat`], so a read that
+//! sits silent for [`NetParams::peer_timeout`] means the peer is gone
+//! or hung — which, unlike an EOF, a crashed-but-connected or frozen
+//! peer never turns into an error on its own.
 
 use std::io;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::Path;
 use std::time::Duration;
 
 /// Heartbeat period override, in milliseconds
@@ -98,175 +95,83 @@ impl NetParams {
     }
 }
 
-/// One established link, Unix or TCP. Both variants expose the blocking
-/// `Read`/`Write` the protocol needs; the coordinator and workers never
-/// care which one they hold.
-#[derive(Debug)]
-pub enum Conn {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Conn {
-    /// Connect to a Unix socket (local spawn: the socket file already
-    /// exists before the worker is spawned, so no retry).
-    pub fn connect_unix(path: &Path) -> io::Result<Conn> {
-        Ok(Conn::Unix(UnixStream::connect(path)?))
-    }
-
-    /// Connect to a TCP coordinator with bounded retry and exponential
-    /// backoff — a worker may legitimately start before the coordinator
-    /// binds its port (multi-machine launch order is not controlled).
-    pub fn connect_tcp_backoff(addr: &str) -> io::Result<Conn> {
-        let mut delay = CONNECT_BACKOFF_BASE;
-        let mut last = None;
-        for attempt in 0..CONNECT_ATTEMPTS {
-            if attempt > 0 {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(CONNECT_BACKOFF_CAP);
-            }
-            match TcpStream::connect(addr) {
-                Ok(s) => {
-                    s.set_nodelay(true)?;
-                    return Ok(Conn::Tcp(s));
-                }
-                Err(e) => last = Some(e),
-            }
+/// Connect to `addr` with bounded retry and exponential backoff — a
+/// worker may legitimately start before the coordinator binds its port
+/// (multi-machine launch order is not controlled), and a client before
+/// its server. The stream has `TCP_NODELAY` set.
+///
+/// # Errors
+///
+/// The last connect error once the attempts are exhausted.
+pub fn connect_backoff(addr: &str) -> io::Result<TcpStream> {
+    let mut delay = CONNECT_BACKOFF_BASE;
+    let mut last = None;
+    for attempt in 0..CONNECT_ATTEMPTS {
+        if attempt > 0 {
+            std::thread::sleep(delay);
+            delay = (delay * 2).min(CONNECT_BACKOFF_CAP);
         }
-        Err(last.unwrap_or_else(|| {
-            io::Error::new(io::ErrorKind::ConnectionRefused, "no connect attempts made")
-        }))
-    }
-
-    /// Duplicate the handle (reader thread + writer share the socket).
-    pub fn try_clone(&self) -> io::Result<Conn> {
-        Ok(match self {
-            Conn::Unix(s) => Conn::Unix(s.try_clone()?),
-            Conn::Tcp(s) => Conn::Tcp(s.try_clone()?),
-        })
-    }
-
-    /// Apply the liveness deadlines: reads fail after
-    /// [`NetParams::peer_timeout`] of silence (dead-peer detection),
-    /// writes fail after the same bound (a peer that stops draining has
-    /// effectively hung). TCP additionally sets `TCP_NODELAY`.
-    pub fn apply_net(&self, net: &NetParams) -> io::Result<()> {
-        let t = Some(net.peer_timeout);
-        match self {
-            Conn::Unix(s) => {
-                s.set_read_timeout(t)?;
-                s.set_write_timeout(t)
-            }
-            Conn::Tcp(s) => {
+        match TcpStream::connect(addr) {
+            Ok(s) => {
                 s.set_nodelay(true)?;
-                s.set_read_timeout(t)?;
-                s.set_write_timeout(t)
+                return Ok(s);
             }
+            Err(e) => last = Some(e),
         }
     }
-
-    /// Blocking/non-blocking toggle (accept loops hand over
-    /// non-blocking sockets).
-    pub fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.set_nonblocking(nb),
-            Conn::Tcp(s) => s.set_nonblocking(nb),
-        }
-    }
-
-    /// Half-close the write side (used by fault injection to simulate a
-    /// crash mid-frame).
-    pub fn shutdown_write(&self) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.shutdown(std::net::Shutdown::Write),
-            Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Write),
-        }
-    }
+    Err(last.unwrap_or_else(|| {
+        io::Error::new(io::ErrorKind::ConnectionRefused, "no connect attempts made")
+    }))
 }
 
-impl io::Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
+/// Bind `addr`, retrying briefly on `EADDRINUSE`: back-to-back runs (a
+/// sequential test ladder) reuse the same explicit port while the
+/// previous socket lingers in `TIME_WAIT`, and std exposes no
+/// `SO_REUSEADDR`.
+///
+/// # Errors
+///
+/// Any bind error other than `EADDRINUSE`, or `EADDRINUSE` once the
+/// retries are exhausted.
+pub fn bind_retrying(addr: impl ToSocketAddrs + Copy) -> io::Result<TcpListener> {
+    let mut last = None;
+    for attempt in 0..40 {
+        if attempt > 0 {
+            std::thread::sleep(Duration::from_millis(250));
+        }
+        match TcpListener::bind(addr) {
+            Ok(l) => return Ok(l),
+            Err(e) if e.kind() == io::ErrorKind::AddrInUse => last = Some(e),
+            Err(e) => return Err(e),
         }
     }
+    Err(last.expect("retried only on AddrInUse"))
 }
 
-impl io::Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
-    }
+/// Arm a link's liveness deadlines: reads fail after
+/// [`NetParams::peer_timeout`] of silence (dead-peer detection), writes
+/// fail after the same bound (a peer that stops draining has
+/// effectively hung). Also sets `TCP_NODELAY`: the protocols are
+/// request/reply-ish and latency-bound, not throughput-bound.
+///
+/// # Errors
+///
+/// Propagates the socket-option errors.
+pub fn apply_net(s: &TcpStream, net: &NetParams) -> io::Result<()> {
+    let t = Some(net.peer_timeout);
+    s.set_nodelay(true)?;
+    s.set_read_timeout(t)?;
+    s.set_write_timeout(t)
 }
 
-/// A listening endpoint the coordinator accepts worker links on.
-#[derive(Debug)]
-pub enum Listener {
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-impl Listener {
-    pub fn bind_unix(path: &Path) -> io::Result<Listener> {
-        Ok(Listener::Unix(UnixListener::bind(path)?))
-    }
-
-    /// Bind a TCP address, retrying briefly on `EADDRINUSE`:
-    /// back-to-back runs (a sequential test ladder) reuse the same
-    /// explicit port while the previous socket lingers in `TIME_WAIT`,
-    /// and std exposes no `SO_REUSEADDR`.
-    pub fn bind_tcp(addr: impl ToSocketAddrs + Copy) -> io::Result<Listener> {
-        let mut last = None;
-        for attempt in 0..40 {
-            if attempt > 0 {
-                std::thread::sleep(Duration::from_millis(250));
-            }
-            match TcpListener::bind(addr) {
-                Ok(l) => return Ok(Listener::Tcp(l)),
-                Err(e) if e.kind() == io::ErrorKind::AddrInUse => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.expect("retried only on AddrInUse"))
-    }
-
-    pub fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Listener::Unix(l) => l.set_nonblocking(nb),
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-        }
-    }
-
-    /// Accept one connection (TCP accepts get `TCP_NODELAY` eagerly;
-    /// read/write deadlines are applied later via [`Conn::apply_net`]).
-    pub fn accept(&self) -> io::Result<Conn> {
-        match self {
-            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| {
-                let _ = s.set_nodelay(true);
-                Conn::Tcp(s)
-            }),
-        }
-    }
-
-    /// The bound local port, for loopback workers connecting back to an
-    /// OS-assigned (`:0`) listener. `None` for Unix sockets.
-    #[must_use]
-    pub fn tcp_port(&self) -> Option<u16> {
-        match self {
-            Listener::Unix(_) => None,
-            Listener::Tcp(l) => l.local_addr().ok().map(|a| a.port()),
-        }
-    }
+/// Two connected ends of one loopback link, for tests that drive a
+/// protocol by hand.
+#[cfg(test)]
+pub(crate) fn loopback_pair() -> io::Result<(TcpStream, TcpStream)> {
+    let l = TcpListener::bind("127.0.0.1:0")?;
+    let ours = TcpStream::connect(l.local_addr()?)?;
+    let (theirs, _) = l.accept()?;
+    Ok((ours, theirs))
 }
 
 /// `true` for the error kinds a timed-out socket read surfaces — the

@@ -420,7 +420,7 @@ pub struct CodecCtx {
     params: ModelParams,
     blocks: BTreeMap<u64, Vec<Block>>,
     /// Taken with `try_lock` once per state: a context shared by
-    /// work-stealing threads must never serialise their encodes, so a
+    /// the workers of a pool must never serialise their encodes, so a
     /// contended (or poisoned) memo is simply not used for that state.
     memo: Mutex<MemoState>,
     /// Length of the last record [`CodecCtx::encode_into`] finished —

@@ -319,6 +319,7 @@ impl StorageState {
     /// Accept a barrier from a thread (its Group A is implicitly the
     /// prefix of the thread's propagation list before it).
     pub fn accept_barrier(&mut self, b: BarrierEv) {
+        assert!(!self.barriers.contains_key(&b.id), "barrier accepted twice");
         let tid = b.tid;
         let id = b.id;
         self.touch();

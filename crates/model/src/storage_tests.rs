@@ -118,6 +118,22 @@ fn barrier_gates_own_thread_writes() {
     assert!(st.can_propagate_write(WriteId(2), 1));
 }
 
+/// Barrier ids are fresh per committed instance; a second acceptance of
+/// one would silently replace the first in the barrier map.
+#[test]
+#[should_panic(expected = "barrier accepted twice")]
+fn accept_barrier_refuses_a_duplicate_id() {
+    let mut st = fresh(2);
+    let b = BarrierEv {
+        id: BarrierId(0),
+        tid: 0,
+        ioid: (0, 1),
+        kind: BarrierKind::Lwsync,
+    };
+    st.accept_barrier(b.clone());
+    st.accept_barrier(b);
+}
+
 #[test]
 fn sync_acknowledged_only_when_everywhere() {
     let mut st = fresh(3);

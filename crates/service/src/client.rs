@@ -1,7 +1,7 @@
 //! The submitting side of the oracle service: connect, frame a query,
 //! await the record line.
 //!
-//! Connections reuse `ppc_model::net::Conn` (TCP with bounded-retry
+//! Connections reuse `ppc_model::net::connect_backoff` (bounded-retry
 //! backoff connect, `TCP_NODELAY`), and the client applies no read
 //! deadline by default — a cold exploration legitimately takes as long
 //! as it takes; the response arrives when the envelope is computed.
@@ -13,8 +13,9 @@ use crate::proto::{
 };
 use ppc_bits::framed::{Receiver, Sender};
 use ppc_litmus::Expectation;
-use ppc_model::net::Conn;
+use ppc_model::net::connect_backoff;
 use std::io;
+use std::net::TcpStream;
 
 /// A server's answer to one query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,7 +33,7 @@ pub enum Response {
 
 /// One connection to an `oracled` server.
 pub struct Client {
-    conn: Conn,
+    conn: TcpStream,
     tx: Sender,
     rx: Receiver,
 }
@@ -46,7 +47,7 @@ impl Client {
     /// The last connect error after retries are exhausted.
     pub fn connect(addr: &str) -> io::Result<Client> {
         Ok(Client {
-            conn: Conn::connect_tcp_backoff(addr)?,
+            conn: connect_backoff(addr)?,
             tx: Sender::new(MAX_FRAME),
             rx: Receiver::new(MAX_FRAME),
         })

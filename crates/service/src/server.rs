@@ -22,8 +22,9 @@ use crate::proto::{
 };
 use ppc_bits::framed::{Receiver, Sender};
 use ppc_litmus::Job;
-use ppc_model::net::{is_timeout, Conn, Listener, NetParams};
+use ppc_model::net::{apply_net, bind_retrying, is_timeout, NetParams};
 use std::io;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -103,10 +104,8 @@ impl Drop for ServerHandle {
 ///
 /// Propagates bind errors.
 pub fn serve(cfg: &ServerConfig, oracle: Arc<Oracle>) -> io::Result<ServerHandle> {
-    let listener = Listener::bind_tcp(cfg.addr.as_str())?;
-    let port = listener
-        .tcp_port()
-        .ok_or_else(|| io::Error::other("no TCP port"))?;
+    let listener = bind_retrying(cfg.addr.as_str())?;
+    let port = listener.local_addr()?.port();
     listener.set_nonblocking(true)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&shutdown);
@@ -114,7 +113,7 @@ pub fn serve(cfg: &ServerConfig, oracle: Arc<Oracle>) -> io::Result<ServerHandle
         let mut conns: Vec<JoinHandle<()>> = Vec::new();
         while !flag.load(Ordering::Relaxed) {
             match listener.accept() {
-                Ok(conn) => {
+                Ok((conn, _)) => {
                     let oracle = Arc::clone(&oracle);
                     let flag = Arc::clone(&flag);
                     conns.push(std::thread::spawn(move || {
@@ -145,11 +144,14 @@ pub fn serve(cfg: &ServerConfig, oracle: Arc<Oracle>) -> io::Result<ServerHandle
 }
 
 /// Serve one connection until EOF, shutdown, or a protocol error.
-fn handle_conn(mut conn: Conn, oracle: &Oracle, flag: &AtomicBool) -> io::Result<()> {
+fn handle_conn(mut conn: TcpStream, oracle: &Oracle, flag: &AtomicBool) -> io::Result<()> {
     // Short read timeout = shutdown-poll granularity. (Writes keep a
     // generous bound so a stalled client can't wedge a handler
     // forever; responses are small.)
-    conn.apply_net(&NetParams::from_millis(CONN_POLL_MS, CONN_POLL_MS * 2))?;
+    apply_net(
+        &conn,
+        &NetParams::from_millis(CONN_POLL_MS, CONN_POLL_MS * 2),
+    )?;
     let mut rx = Receiver::new(MAX_FRAME);
     let mut tx = Sender::new(MAX_FRAME);
     loop {

@@ -1,7 +1,7 @@
 //! Shared random-litmus-program generator for the differential fuzz
-//! suites (`oracle_fuzz` pins work-stealing vs sequential, `spill_oracle`
-//! pins spill-to-disk vs in-memory). One generator, one program shape
-//! per seed, however many engine configurations check it.
+//! suites (`oracle_fuzz` pins a multi-worker pool vs one worker,
+//! `spill_oracle` pins spill-to-disk vs in-memory). One generator, one
+//! program shape per seed, however many engine configurations check it.
 
 #![allow(dead_code)] // each test binary uses a subset of the helpers
 

@@ -25,15 +25,27 @@
 //! checkpoints exactly as before (byte-identical finals *and* counts
 //! on resume).
 //!
+//! The `fault_` and `chaos_` tests (the release fault matrix) extend
+//! this to every injected network fault: a *lossy* one (dropped frame,
+//! truncated frame, muted peer with stalled heartbeats) must end in a
+//! truncated result carrying a `store_error` and — with a checkpoint
+//! configured — a *resumable* death checkpoint; never a silent pass,
+//! never a hang (the mute test asserts wall-clock). Pure *latency*
+//! faults (delayed frames, delayed probe replies) must be absorbed:
+//! untruncated and byte-identical, pinning the probe-epoch termination
+//! hardening end to end. The link's secret handshake is pinned by
+//! `tests/distrib_tcp.rs`.
+//!
 //! Worker processes are this test binary re-executed with
 //! `["distrib_worker_shim", "--exact"]`: the shim test calls
 //! [`ppcmem::litmus::maybe_run_worker`], which is a no-op in a normal
-//! test run and the worker entry point when the coordinator's socket
-//! env var is set.
+//! test run and the worker entry point when the coordinator's
+//! [`ppcmem::litmus::distrib::TCP_ENV`] is set.
 //!
 //! Environment knobs: `DISTRIB_FUZZ_PROGRAMS` (default 8),
 //! `DISTRIB_FUZZ_SEED`, `DISTRIB_FUZZ_BUDGET` (as in `oracle_fuzz`,
-//! disjoint seed base).
+//! disjoint seed base), and `DISTRIB_CHAOS_ITERS` (default 6) and
+//! `DISTRIB_CHAOS_SEED` for the randomized fault sweep.
 
 mod common;
 
@@ -45,6 +57,7 @@ use ppcmem::litmus::{build_system, library, observations, parse};
 use ppcmem::model::distrib::{load_checkpoint, DistribOutcome};
 use ppcmem::model::net::FAULT_ENV;
 use ppcmem::model::{explore_limited, ExploreLimits, ModelParams, Outcomes};
+use std::time::Instant;
 
 /// Worker re-exec entry point: in a normal test run the env var is
 /// absent and this is an instant pass; in a spawned worker it runs the
@@ -512,5 +525,215 @@ fn distrib_fuzz_matches_sequential() {
         checked > skipped,
         "fuzz coverage collapsed: {checked} checked vs {skipped} skipped — \
          the generator is producing mostly oversized programs"
+    );
+}
+
+/// Run MP over 2 shards with `fault` injected into shard 0, a
+/// checkpoint configured, and (optionally) tightened liveness
+/// tunables. Returns the degraded outcome plus the checkpoint path.
+fn faulted_mp_run(
+    fault: &str,
+    heartbeat_ms: Option<u64>,
+    peer_timeout_ms: Option<u64>,
+    tag: &str,
+) -> (Outcomes, DistribConfig, std::path::PathBuf) {
+    let tmp = std::env::temp_dir().join(format!("ppcmem-distrib-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_file(&tmp);
+    let mut cfg = dcfg(2);
+    cfg.checkpoint = Some(tmp.clone());
+    cfg.worker_env = vec![(FAULT_ENV.to_owned(), fault.to_owned())];
+    cfg.heartbeat_ms = heartbeat_ms;
+    cfg.peer_timeout_ms = peer_timeout_ms;
+    let got = outcomes_distributed(
+        library_source("MP"),
+        &ModelParams::default(),
+        &ExploreLimits::default(),
+        &cfg,
+    );
+    (got, cfg, tmp)
+}
+
+/// Assert the lossy-fault contract: truncated + `store_error`, a
+/// resumable death checkpoint, and a fault-free resume completing to
+/// the exact sequential final-state set.
+fn assert_lossy_fault_degrades_then_resumes(what: &str, got: &Outcomes, mut cfg: DistribConfig) {
+    assert!(got.stats.truncated, "{what}: lossy fault must truncate");
+    let err = got
+        .stats
+        .store_error
+        .as_deref()
+        .unwrap_or_else(|| panic!("{what}: lossy fault must set store_error"));
+    assert!(
+        err.contains("lost") || err.contains("worker"),
+        "{what}: unhelpful degradation report: {err}"
+    );
+    let ck = cfg.checkpoint.clone().expect("checkpoint configured");
+    assert!(
+        ck.exists(),
+        "{what}: lossy fault must leave a resumable death checkpoint"
+    );
+    let reference = sequential_reference(
+        library_source("MP"),
+        &ModelParams::default(),
+        &ExploreLimits::default(),
+    );
+    cfg.worker_env.clear();
+    let resumed = outcomes_distributed(
+        library_source("MP"),
+        &ModelParams::default(),
+        &ExploreLimits::default(),
+        &cfg,
+    );
+    assert!(
+        !resumed.stats.truncated,
+        "{what}: resume must complete ({:?})",
+        resumed.stats.store_error
+    );
+    // After a crash, counts may legitimately overcount re-expanded
+    // states; the finals — the model's verdict — are the pin.
+    assert!(
+        reference.finals == resumed.finals,
+        "{what}: finals after death-checkpoint resume diverged ({} vs {})",
+        reference.finals.len(),
+        resumed.finals.len()
+    );
+    assert!(
+        !ck.exists(),
+        "{what}: completion must delete the checkpoint"
+    );
+}
+
+/// A dropped frame: the per-direction sequence numbers expose the gap
+/// on the worker's next message, the link is declared lost, and the
+/// run degrades to truncated + `store_error` with a resumable
+/// checkpoint — never a silent pass with missing states.
+#[test]
+fn fault_dropped_frame_truncates_with_resumable_checkpoint() {
+    let (got, cfg, _ck) = faulted_mp_run("drop-route:1", None, None, "drop");
+    assert_lossy_fault_degrades_then_resumes("drop-route:1", &got, cfg);
+}
+
+/// A frame cut off mid-write (worker aborts halfway through a length-
+/// prefixed frame — a crashed machine or severed link): the reader
+/// sees a short read, the link is lost, the run degrades loudly and
+/// resumably.
+#[test]
+fn fault_truncated_frame_truncates_with_resumable_checkpoint() {
+    let (got, cfg, _ck) = faulted_mp_run("truncate-route:1", None, None, "trunc");
+    assert_lossy_fault_degrades_then_resumes("truncate-route:1", &got, cfg);
+}
+
+/// A muted peer: after its first messages the worker swallows every
+/// write — including heartbeats — while staying connected and reading
+/// (a hung process or one-way partition; EOF never fires). The
+/// dead-peer timeout must flag it within the configured window: the
+/// run ends truncated + `store_error`, quickly, never hanging.
+#[test]
+fn fault_stalled_heartbeat_detected_no_hang() {
+    let t0 = Instant::now();
+    let (got, cfg, _ck) = faulted_mp_run("mute:2", Some(300), Some(1500), "mute");
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed.as_secs() < 30,
+        "dead-peer detection took {elapsed:?} — the heartbeat timeout is not working"
+    );
+    assert_lossy_fault_degrades_then_resumes("mute:2", &got, cfg);
+}
+
+/// A delayed probe reply (800 ms of injected latency on the exact
+/// message the termination detector depends on): the epoch-tagged
+/// probe rounds must absorb it — the stale/late reply can delay
+/// termination but never corrupt it. Untruncated, byte-identical.
+#[test]
+fn fault_delayed_probe_reply_is_absorbed() {
+    let reference = sequential_reference(
+        library_source("MP"),
+        &ModelParams::default(),
+        &ExploreLimits::default(),
+    );
+    let (got, _cfg, ck) = faulted_mp_run("delay-probe:1:800", None, None, "dprobe");
+    assert_identical("MP", "delay-probe", &reference, &got);
+    assert!(!ck.exists(), "clean completion must delete the checkpoint");
+}
+
+/// A delayed data frame (400 ms on a routed batch): pure latency, no
+/// loss — the run must stay untruncated and byte-identical.
+#[test]
+fn fault_delayed_frame_is_absorbed() {
+    let reference = sequential_reference(
+        library_source("MP"),
+        &ModelParams::default(),
+        &ExploreLimits::default(),
+    );
+    let (got, _cfg, ck) = faulted_mp_run("delay-route:2:400", None, None, "droute");
+    assert_identical("MP", "delay-route", &reference, &got);
+    assert!(!ck.exists(), "clean completion must delete the checkpoint");
+}
+
+/// Chaos sweep: random programs × random faults from the full grammar.
+/// The invariant under chaos is exactly "no silent pass": a run that
+/// reports untruncated must be byte-identical to the sequential
+/// engine (the fault either never fired or was pure latency); a run
+/// that truncates must say why in `store_error`. Lossy faults must
+/// fire on at least one iteration, or the sweep lost its teeth.
+#[test]
+fn chaos_random_faults_never_silently_pass() {
+    let iters = env_u64("DISTRIB_CHAOS_ITERS", 6);
+    let seed0 = env_u64("DISTRIB_CHAOS_SEED", 0x7C9_0D15_7AB1_F001);
+    let budget = env_u64("DISTRIB_FUZZ_BUDGET", 60_000) as usize;
+    let faults: &[(&str, bool)] = &[
+        ("drop-route:1", true),
+        ("truncate-route:2", true),
+        ("mute:3", true),
+        ("delay-route:1:100", false),
+        ("delay-probe:1:150", false),
+    ];
+    let limits = ExploreLimits {
+        max_states: budget,
+        ..ExploreLimits::default()
+    };
+    let params = ModelParams::default();
+    let mut fired = 0usize;
+    for i in 0..iters {
+        let seed = seed0.wrapping_add(i);
+        let prog = gen_program(seed);
+        let reference = sequential_reference(&prog.source, &params, &limits);
+        if reference.stats.truncated {
+            continue;
+        }
+        // Deterministic fault choice per seed — reproducible without a
+        // clock and uncorrelated with the program generator.
+        let (fault, lossy) = faults[(seed % faults.len() as u64) as usize];
+        let mut cfg = dcfg(2);
+        cfg.worker_env = vec![(FAULT_ENV.to_owned(), fault.to_owned())];
+        if fault.starts_with("mute") {
+            cfg.heartbeat_ms = Some(300);
+            cfg.peer_timeout_ms = Some(1500);
+        }
+        let got = outcomes_distributed(&prog.source, &params, &limits, &cfg);
+        let what = format!("seed {seed:#018x} fault {fault}\n{}", prog.source);
+        if got.stats.truncated {
+            assert!(
+                lossy,
+                "{what}: a pure-latency fault must never truncate ({:?})",
+                got.stats.store_error
+            );
+            assert!(
+                got.stats.store_error.is_some(),
+                "{what}: truncation without a store_error is a silent failure"
+            );
+            fired += 1;
+        } else {
+            // Untruncated under chaos ⇒ provably unharmed: small
+            // explorations can finish before a lossy fault's Nth
+            // message ever exists, and latency faults are absorbed by
+            // design — either way the result must be byte-identical.
+            assert_identical(&what, "chaos", &reference, &got);
+        }
+    }
+    assert!(
+        fired > 0,
+        "no lossy fault ever fired across {iters} chaos iterations — \
+         the sweep is not exercising the degradation paths"
     );
 }

@@ -203,7 +203,7 @@ fn differential_check(seed: u64, budget: usize) -> FuzzOutcome {
 }
 
 #[test]
-fn fuzz_work_stealing_matches_sequential() {
+fn fuzz_pool_matches_sequential() {
     let programs = env_u64("ORACLE_FUZZ_PROGRAMS", 200) as usize;
     let base = env_u64("ORACLE_FUZZ_SEED", 0x0DDB_A11C_0FFE_E000);
     // Per-program distinct-state budget: programs the sequential
@@ -347,7 +347,6 @@ fn harness_reports_oversized_budget_as_inconclusive() {
         jobs: 1,
         timeout_per_test: None,
         distributed: 0,
-        tcp: false,
     };
     let report = run_one(&entry, &cfg);
     assert!(report.truncated, "budget must truncate {OVERSIZED}");
@@ -374,7 +373,6 @@ fn harness_reports_expired_deadline_as_inconclusive() {
         jobs: 1,
         timeout_per_test: Some(Duration::ZERO),
         distributed: 0,
-        tcp: false,
     };
     let report = run_one(&entry, &cfg);
     assert!(

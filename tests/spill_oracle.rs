@@ -4,7 +4,7 @@
 //! Spilling is a memory strategy, never a semantics: with a tiny
 //! `ModelParams::max_resident_states` forcing frontier segments and
 //! visited-set runs onto disk even for small tests, both engines
-//! (sequential depth-first and work-stealing parallel) must reproduce
+//! (one depth-first frontier, and a pool of them) must reproduce
 //! the in-memory exploration **byte for byte** — identical
 //! `Outcomes::finals` sets, identical visited-state / transition /
 //! final-hit counts. The ladder covers the barrier/dependency test
@@ -100,8 +100,8 @@ fn assert_equivalent(name: &str, mode: &str, reference: &Outcomes, got: &Outcome
 }
 
 /// The ladder: every test explored in-memory (the reference), then with
-/// spilling forced by tiny resident budgets, sequentially and with the
-/// work-stealing engine.
+/// spilling forced by tiny resident budgets, on one worker and on a
+/// pool of them.
 #[test]
 fn spill_mode_matches_in_memory_on_ladder() {
     // Disk traffic across all parallel spill runs of the ladder; the
@@ -154,8 +154,8 @@ fn spill_mode_matches_in_memory_on_ladder() {
                 );
             }
         }
-        // Work-stealing + spill, at the CI sweep's threshold and at a
-        // thrashing one.
+        // A multi-worker pool + spill, at the CI sweep's threshold and at
+        // a thrashing one.
         for threads in [2, 4] {
             for max_resident in [64, 7] {
                 let spilled =

@@ -11,7 +11,7 @@
 //! that audit is compiled out and the memo runs as shipped) and
 //! programs from the `tests/common` fuzz generator — `lwarx`/`stwcx.`
 //! and `sync` included, coverage asserted. Four configurations each:
-//! sequential, two work-stealing threads, the eager-`Finish` reduction, and a
+//! one worker, a two-worker pool, the eager-`Finish` reduction, and a
 //! 16-state resident budget that spills through the codec.
 
 mod common;
